@@ -67,6 +67,20 @@ def _iterate_loops(tableau, basis, pivot_tol, opt_tol, max_iter):
     return STATUS_ITER_LIMIT, iters
 
 
+def pivot(tableau, basis, row, col):
+    """Make ``col`` basic in ``row``: scale the row, eliminate the column
+    from every other row (reduced costs included), record it in basis."""
+    inv = 1.0 / tableau[row, col]
+    tableau[row] *= inv
+    tableau[row, col] = 1.0
+    factors = tableau[:, col].copy()
+    factors[row] = 0.0
+    tableau -= factors[:, None] * tableau[row][None, :]
+    tableau[:, col] = 0.0
+    tableau[row, col] = 1.0
+    basis[row] = col
+
+
 def simplex_iterate_numpy(tableau, basis, pivot_tol, opt_tol, max_iter):
     """Vectorized twin of the compiled kernel; same pivots, same tableaus."""
     m = tableau.shape[0] - 1
@@ -86,15 +100,7 @@ def simplex_iterate_numpy(tableau, basis, pivot_tol, opt_tol, max_iter):
         best = ratios.min()
         ties = np.nonzero(ratios <= best + RATIO_TIE)[0]
         row = int(ties[np.argmin(basis[ties])])
-        inv = 1.0 / tableau[row, col]
-        tableau[row] *= inv
-        tableau[row, col] = 1.0
-        factors = tableau[:, col].copy()
-        factors[row] = 0.0
-        tableau -= factors[:, None] * tableau[row][None, :]
-        tableau[:, col] = 0.0
-        tableau[row, col] = 1.0
-        basis[row] = col
+        pivot(tableau, basis, row, col)
         iters += 1
     return STATUS_ITER_LIMIT, iters
 

@@ -7,7 +7,6 @@ inconsistent inputs), 2 solver failure, 3 verification FAIL.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 import numpy as np
@@ -21,7 +20,7 @@ from .dynamics import (
     transport_residual,
 )
 from .errors import SolverError, ValidationError
-from .graphs import is_outward_tree, load_graph, outward_tree_structure
+from .graphs import _read_json, is_outward_tree, load_graph
 from .measures import TimeGrid, load_distribution, triple_from_json
 from .transport import w1_auto, w1_beckmann, w1_kantorovich, w1_tree
 from .worked_examples import EXAMPLE_NAMES, evaluate_example
@@ -100,7 +99,6 @@ def cmd_distance(args) -> int:
 
     extra_lines: list[str] = []
     if args.method == "tree":
-        outward_tree_structure(graph)
         value = w1_tree(graph, f0, f1)
     elif args.method == "kantorovich":
         value, _ = w1_kantorovich(graph, f0, f1)
@@ -152,16 +150,7 @@ def cmd_verify(args) -> int:
     if args.q < 1.0:
         raise ValidationError(f"q must be >= 1, got {args.q}")
     graph = load_graph(args.graph)
-    try:
-        with open(args.triple) as fh:
-            payload = json.load(fh)
-    except OSError as exc:
-        raise ValidationError(f"cannot read triple file {args.triple}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ValidationError(
-            f"triple file {args.triple} is not valid JSON: {exc}"
-        ) from exc
-    triple = triple_from_json(payload, graph)
+    triple = triple_from_json(_read_json(args.triple, "triple"), graph)
     omega = graph.incidence
     threshold = 1e-3 if args.analytic else 1e-8
 

@@ -21,6 +21,7 @@ from .measures import (
     TimeGrid,
     Triple,
     VertexPath,
+    _constant_speed_rows,
     convex_interpolation,
     differentiate_path,
     integrate_pair,
@@ -80,33 +81,22 @@ def energy(pair: EdgePairPath, q: float) -> EnergyReport:
     return EnergyReport(q, value, powered ** (1.0 / q))
 
 
+def _tail_flux(tree: DirectedGraph, path: VertexPath) -> np.ndarray:
+    """Per interval, the tail difference at each edge's head over the
+    interval length: the flux v*g that drives the path on the tree."""
+    heads = np.array([head for _, head in tree.edges], dtype=np.int64)
+    dFdt = np.diff(tails(tree, path.samples), axis=0) / path.durations[:, None]
+    return dFdt[:, heads]
+
+
 def tail_pde_check(triple: Triple, tree: DirectedGraph) -> TailResidualReport:
     """Residual of the tail form: the tail derivative at each edge's head
     must equal v*g on that edge."""
-    heads = np.array([head for _, head in tree.edges], dtype=np.int64)
-    F = np.stack([tails(tree, sample) for sample in triple.path.samples])
-    dFdt = np.diff(F, axis=0) / triple.path.durations[:, None]
-    gap = np.abs(dFdt[:, heads] - triple.pair.flux())
+    gap = np.abs(_tail_flux(tree, triple.path) - triple.pair.flux())
     if gap.size == 0:
         return TailResidualReport(0.0, 0, 0)
     knot, edge = np.unravel_index(int(gap.argmax()), gap.shape)
     return TailResidualReport(float(gap.max()), int(knot), int(edge))
-
-
-def _constant_speed_rows(targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Factor each row h into (v, g) with v = sign(h) |h|_1, g = |h| / |h|_1.
-
-    Rows with zero total mass become the stationary v = 0, g = uniform.
-    """
-    steps, m = targets.shape
-    v = np.zeros((steps, m))
-    g = np.full((steps, m), 1.0 / m) if m else np.zeros((steps, 0))
-    for i in range(steps):
-        speed = float(np.abs(targets[i]).sum())
-        if speed > 0.0:
-            v[i] = np.where(targets[i] >= 0.0, 1.0, -1.0) * speed
-            g[i] = np.abs(targets[i]) / speed
-    return v, g
 
 
 def constant_speed_solution_tree(
@@ -119,10 +109,7 @@ def constant_speed_solution_tree(
     resulting triple satisfies the transport equation exactly and the
     edge masses sum to one.
     """
-    heads = np.array([head for _, head in tree.edges], dtype=np.int64)
-    F = np.stack([tails(tree, sample) for sample in path.samples])
-    dFdt = np.diff(F, axis=0) / path.durations[:, None]
-    v, g = _constant_speed_rows(dFdt[:, heads])
+    v, g = _constant_speed_rows(_tail_flux(tree, path))
     return EdgePairPath(path.knots.copy(), v, g)
 
 
@@ -149,7 +136,11 @@ def constant_speed_solution_graph(
     if epsilon.shape[0] != m:
         raise ValidationError(f"cycle vector has length {epsilon.shape[0]}, "
                               f"expected {m}")
-    drift = float(np.abs(graph.incidence @ epsilon).max()) if m else 0.0
+    # net inflow per vertex from the edge list; the dense incidence matrix
+    # of a large graph would dominate the memory of this call
+    tail, head = np.array(graph.edges, dtype=np.int64).reshape(-1, 2).T
+    net = np.bincount(head, epsilon, n) - np.bincount(tail, epsilon, n)
+    drift = float(np.abs(net).max())
     if drift > CIRCULATION_TOL:
         raise ValidationError(
             f"epsilon is not a circulation: incidence . epsilon reaches {drift:.3e}"

@@ -10,7 +10,6 @@ the construction (or the JSON file) verbatim; edges are never reoriented.
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -63,11 +62,10 @@ class DirectedGraph:
             seen.add(key)
         if self.root is not None and not (0 <= int(self.root) < n):
             raise ValidationError("root vertex out of range")
-        reached = self._reachable_from(0)
-        if len(reached) != n:
-            missing = next(i for i in range(n) if i not in reached)
+        _, _, _, depth = _bfs(self, 0)
+        if -1 in depth:
             raise ValidationError(
-                f"graph is not connected: vertex {self.labels[missing]!r} "
+                f"graph is not connected: vertex {self.labels[depth.index(-1)]!r} "
                 "is unreachable"
             )
 
@@ -97,20 +95,9 @@ class DirectedGraph:
             adj[head].append((tail, k))
         return tuple(tuple(entries) for entries in adj)
 
-    def _reachable_from(self, start: int) -> set[int]:
-        adj: list[list[int]] = [[] for _ in self.labels]
-        for tail, head in self.edges:
-            adj[tail].append(head)
-            adj[head].append(tail)
-        seen = {start}
-        queue = deque([start])
-        while queue:
-            x = queue.popleft()
-            for y in adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    queue.append(y)
-        return seen
+    @cached_property
+    def _outward_tree(self) -> _TreeStructure:
+        return _orient_tree(self, self.effective_root)
 
     def is_tree(self) -> bool:
         return self.n_edges == self.n_vertices - 1
@@ -120,6 +107,36 @@ class DirectedGraph:
             return self.labels.index(label)
         except ValueError:
             raise ValidationError(f"unknown vertex label {label!r}") from None
+
+
+_TreeStructure = tuple[int, tuple[int, ...], tuple[int, ...], tuple[int, ...]]
+
+
+def _bfs(
+    graph: DirectedGraph, source: int
+) -> tuple[list[int], list[int], list[int], list[int]]:
+    """Breadth-first traversal of the underlying undirected graph.
+
+    Neighbours are visited in ascending edge index. Returns (order,
+    parent_vertex, parent_edge, depth): ``order`` lists the reached
+    vertices in visiting order; the source has parent -1 and depth 0,
+    unreached vertices have parent -1 and depth -1.
+    """
+    n = graph.n_vertices
+    parent_vertex = [-1] * n
+    parent_edge = [-1] * n
+    depth = [-1] * n
+    depth[source] = 0
+    order = [source]
+    # order doubles as the FIFO queue: iteration reaches what is appended
+    for x in order:
+        for y, k in graph._adjacency[x]:
+            if depth[y] < 0:
+                depth[y] = depth[x] + 1
+                parent_vertex[y] = x
+                parent_edge[y] = k
+                order.append(y)
+    return order, parent_vertex, parent_edge, depth
 
 
 def build_incidence(graph: DirectedGraph) -> np.ndarray:
@@ -158,74 +175,52 @@ def laplacian(omega: np.ndarray) -> np.ndarray:
 
 def shortest_path_metric(graph: DirectedGraph) -> np.ndarray:
     """Hop-count distance matrix on the underlying undirected graph."""
-    n = graph.n_vertices
-    d = np.zeros((n, n), dtype=np.int64)
-    for source in range(n):
-        dist = np.full(n, -1, dtype=np.int64)
-        dist[source] = 0
-        queue = deque([source])
-        while queue:
-            x = queue.popleft()
-            for y, _ in graph._adjacency[x]:
-                if dist[y] < 0:
-                    dist[y] = dist[x] + 1
-                    queue.append(y)
-        d[source] = dist
-    return d
+    return np.array(
+        [_bfs(graph, source)[3] for source in range(graph.n_vertices)],
+        dtype=np.int64,
+    )
 
 
 def outward_tree_structure(
     graph: DirectedGraph, root: int | None = None
-) -> tuple[int, list[int], list[int], list[int]]:
+) -> _TreeStructure:
     """Validate that the graph is a tree oriented away from the root.
 
-    Returns (root, bfs_order, parent_vertex, parent_edge); the parent
-    entries of the root are -1. Raises ValidationError naming an offending
-    edge when the graph has a cycle or an edge pointing toward the root.
+    Returns (root, bfs_order, parent_vertex, parent_edge) as tuples; the
+    parent entries of the root are -1. Raises ValidationError naming an
+    offending edge when the graph has a cycle or an edge pointing toward
+    the root. The structure for the graph's own root is computed once and
+    cached on the graph; an explicit ``root`` is computed on every call.
     """
-    root = graph.effective_root if root is None else int(root)
-    n = graph.n_vertices
+    if root is None:
+        return graph._outward_tree
+    root = int(root)
+    if not (0 <= root < graph.n_vertices):
+        raise ValidationError("root vertex out of range")
+    return _orient_tree(graph, root)
+
+
+def _orient_tree(graph: DirectedGraph, root: int) -> _TreeStructure:
+    order, parent_vertex, parent_edge, _ = _bfs(graph, root)
     if not graph.is_tree():
-        # connected with |E| > |V|-1: some BFS-non-tree edge closes a cycle
-        seen = [False] * n
-        seen[root] = True
-        tree_edges: set[int] = set()
-        queue = deque([root])
-        while queue:
-            x = queue.popleft()
-            for y, k in graph._adjacency[x]:
-                if not seen[y]:
-                    seen[y] = True
-                    tree_edges.add(k)
-                    queue.append(y)
-        extra = next(k for k in range(graph.n_edges) if k not in tree_edges)
+        # connected with |E| > |V|-1: an edge the traversal skipped closes a cycle
+        taken = set(parent_edge)
+        extra = next(k for k in range(graph.n_edges) if k not in taken)
         tail, head = graph.edges[extra]
         raise ValidationError(
             f"not a tree: edge {extra} "
             f"({graph.labels[tail]!r}->{graph.labels[head]!r}) closes a cycle"
         )
-    parent_vertex = [-1] * n
-    parent_edge = [-1] * n
-    order = [root]
-    seen = [False] * n
-    seen[root] = True
-    queue = deque([root])
-    while queue:
-        x = queue.popleft()
-        for y, k in graph._adjacency[x]:
-            if not seen[y]:
-                tail, head = graph.edges[k]
-                if head != y:
-                    raise ValidationError(
-                        f"edge {k} ({graph.labels[tail]!r}->{graph.labels[head]!r}) "
-                        f"points toward the root {graph.labels[root]!r}"
-                    )
-                seen[y] = True
-                parent_vertex[y] = x
-                parent_edge[y] = k
-                order.append(y)
-                queue.append(y)
-    return root, order, parent_vertex, parent_edge
+    # visiting order decides which inward edge is named
+    for y in order[1:]:
+        k = parent_edge[y]
+        tail, head = graph.edges[k]
+        if head != y:
+            raise ValidationError(
+                f"edge {k} ({graph.labels[tail]!r}->{graph.labels[head]!r}) "
+                f"points toward the root {graph.labels[root]!r}"
+            )
+    return root, tuple(order), tuple(parent_vertex), tuple(parent_edge)
 
 
 def is_outward_tree(graph: DirectedGraph, root: int | None = None) -> bool:
@@ -273,21 +268,8 @@ def spanning_tree_decomposition(
     if not (0 <= dropped < n):
         raise ValidationError("dropped vertex out of range")
 
-    parent_vertex = [-1] * n
-    parent_edge = [-1] * n
-    seen = [False] * n
-    seen[dropped] = True
-    tree_edges: list[int] = []
-    queue = deque([dropped])
-    while queue:
-        x = queue.popleft()
-        for y, k in graph._adjacency[x]:
-            if not seen[y]:
-                seen[y] = True
-                parent_vertex[y] = x
-                parent_edge[y] = k
-                tree_edges.append(k)
-                queue.append(y)
+    order, parent_vertex, parent_edge, _ = _bfs(graph, dropped)
+    tree_edges = tuple(parent_edge[y] for y in order[1:])
     in_tree = set(tree_edges)
     nontree_edges = tuple(k for k in range(m) if k not in in_tree)
 
@@ -314,7 +296,7 @@ def spanning_tree_decomposition(
     return SpanningTreeDecomposition(
         graph=graph,
         dropped_vertex=dropped,
-        tree_edges=tuple(tree_edges),
+        tree_edges=tree_edges,
         nontree_edges=nontree_edges,
         kept_vertices=kept,
         right_inverse=_frozen(P),
@@ -374,12 +356,16 @@ def graph_to_json(graph: DirectedGraph) -> dict:
     return payload
 
 
-def load_graph(path) -> DirectedGraph:
+def _read_json(path, what: str):
+    """Parse a JSON file; an unreadable or malformed one is invalid input."""
     try:
         with open(path) as fh:
-            payload = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
-        raise ValidationError(f"cannot read graph file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"graph file {path} is not valid JSON: {exc}") from exc
-    return graph_from_json(payload)
+        raise ValidationError(f"cannot read {what} file {path}: {exc}") from exc
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"{what} file {path} is not valid JSON: {exc}") from exc
+
+
+def load_graph(path) -> DirectedGraph:
+    return graph_from_json(_read_json(path, "graph"))

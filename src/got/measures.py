@@ -9,22 +9,16 @@ sum to one.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .errors import ValidationError
-from .graphs import DirectedGraph, outward_tree_structure
+from .graphs import DirectedGraph, _frozen, _read_json, outward_tree_structure
 
 NEG_TOL = 1e-12
 SUM_TOL = 1e-9
-
-
-def _frozen(array: np.ndarray) -> np.ndarray:
-    array.setflags(write=False)
-    return array
 
 
 def _clean_mass(values, size: int, what: str) -> np.ndarray:
@@ -189,6 +183,25 @@ def zero_pair(n_edges: int, steps: int = 1) -> EdgePairPath:
     return EdgePairPath.constant(v, g, steps)
 
 
+def _constant_speed_rows(targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Factor each row h into (v, g) with v = sign(h) |h|_1, g = |h| / |h|_1.
+
+    The sign of zero is taken as +1, so v*g = h. Rows with zero total
+    mass become the stationary v = 0, g = uniform.
+    """
+    steps, m = targets.shape
+    v = np.zeros((steps, m))
+    g = np.full((steps, m), 1.0 / m) if m else np.zeros((steps, 0))
+    for i, h in enumerate(targets):
+        speed = float(np.abs(h).sum())
+        # a non-finite row falls through and is rejected by EdgePairPath
+        if speed <= 0.0:
+            continue
+        v[i] = np.where(h >= 0.0, 1.0, -1.0) * speed
+        g[i] = np.abs(h) / speed
+    return v, g
+
+
 @dataclass(frozen=True)
 class Triple:
     """A vertex path together with a pair path on the same grid."""
@@ -207,17 +220,20 @@ def tails(tree: DirectedGraph, mass) -> np.ndarray:
     """Tail masses on a rooted tree with outward edges.
 
     Entry x is the total mass on x and all its descendants, so the root
-    entry equals the total mass. Linear in ``mass``.
+    entry equals the total mass. Linear in ``mass``, which is one vector
+    over the vertices or a stack of them, one row per knot; each row is
+    summed as if it came alone.
     """
-    root, order, parent_vertex, _ = outward_tree_structure(tree)
-    F = np.array(mass, dtype=float).reshape(-1)
-    if F.shape[0] != tree.n_vertices:
+    _, order, parent_vertex, _ = outward_tree_structure(tree)
+    F = np.array(mass, dtype=float)
+    if F.ndim > 2 or F.shape[-1:] != (tree.n_vertices,):
         raise ValidationError(
-            f"mass vector has length {F.shape[0]}, expected {tree.n_vertices}"
+            f"mass has shape {F.shape}, expected ({tree.n_vertices},) "
+            f"or (knots, {tree.n_vertices})"
         )
-    for x in reversed(order):
-        if x != root:
-            F[parent_vertex[x]] += F[x]
+    by_vertex = F.T
+    for x in reversed(order[1:]):
+        by_vertex[parent_vertex[x]] += by_vertex[x]
     return F
 
 
@@ -296,16 +312,7 @@ def distribution_from_json(payload: dict, labels: tuple[str, ...]) -> np.ndarray
 
 
 def load_distribution(path, graph: DirectedGraph) -> np.ndarray:
-    try:
-        with open(path) as fh:
-            payload = json.load(fh)
-    except OSError as exc:
-        raise ValidationError(f"cannot read distribution file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ValidationError(
-            f"distribution file {path} is not valid JSON: {exc}"
-        ) from exc
-    return distribution_from_json(payload, graph.labels)
+    return distribution_from_json(_read_json(path, "distribution"), graph.labels)
 
 
 def triple_from_json(payload: dict, graph: DirectedGraph) -> Triple:

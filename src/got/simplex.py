@@ -63,18 +63,6 @@ def _iteration_cap(rows: int, cols: int) -> int:
     return 2000 + 60 * (rows + cols)
 
 
-def _pivot_once(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
-    inv = 1.0 / tableau[row, col]
-    tableau[row] *= inv
-    tableau[row, col] = 1.0
-    factors = tableau[:, col].copy()
-    factors[row] = 0.0
-    tableau -= factors[:, None] * tableau[row][None, :]
-    tableau[:, col] = 0.0
-    tableau[row, col] = 1.0
-    basis[row] = col
-
-
 def solve_lp(lp: LinearProgram) -> LPSolution:
     """Two-phase simplex; optimal solutions are certified before return.
 
@@ -115,7 +103,7 @@ def solve_lp(lp: LinearProgram) -> LPSolution:
         if basis[i] >= n:
             candidates = np.nonzero(np.abs(tableau[i, :n]) > PIVOT_TOL)[0]
             if candidates.size:
-                _pivot_once(tableau, basis, i, int(candidates[0]))
+                _kernels.pivot(tableau, basis, i, int(candidates[0]))
             else:
                 keep[i] = False
 

@@ -18,7 +18,7 @@ from .graphs import (
     outward_tree_structure,
     shortest_path_metric,
 )
-from .measures import EdgePairPath, tails, vertex_distribution, zero_pair
+from .measures import EdgePairPath, _constant_speed_rows, tails, vertex_distribution
 from .simplex import LinearProgram, solve_lp
 
 PLAN_TOL = 1e-8
@@ -32,7 +32,8 @@ def w1_tree(
     outward_tree_structure(tree)
     f0 = vertex_distribution(f0, tree.n_vertices)
     f1 = vertex_distribution(f1, tree.n_vertices)
-    return float(np.abs(tails(tree, f1) - tails(tree, f0)).sum())
+    F0, F1 = tails(tree, np.stack([f0, f1]))
+    return float(np.abs(F1 - F0).sum())
 
 
 def w1_kantorovich(
@@ -145,12 +146,8 @@ def flow_to_constant_pair(J: np.ndarray, steps: int = 1) -> EdgePairPath:
     on every interval. A zero flow yields the stationary pair with
     uniform edge mass.
     """
-    J = np.asarray(J, dtype=float).reshape(-1)
-    speed = float(np.abs(J).sum())
-    if speed <= 0.0:
-        return zero_pair(J.shape[0], steps)
-    v = np.where(J >= 0.0, 1.0, -1.0) * speed
-    g = np.abs(J) / speed
+    J = np.asarray(J, dtype=float).reshape(1, -1)
+    v, g = _constant_speed_rows(J)
     return EdgePairPath.constant(v, g, steps)
 
 

@@ -203,6 +203,28 @@ def test_verify_malformed_triple(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_unreadable_or_invalid_json_files_exit_one(cycle_files, tmp_path, capsys):
+    g, f0, f1 = cycle_files
+    broken = tmp_path / "broken.json"
+    broken.write_text("{nope")
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe\x00")
+    missing = str(tmp_path / "missing.json")
+    cases = [
+        (["verify", "--graph", g, "--triple", missing],
+         f"cannot read triple file {missing}: "),
+        (["verify", "--graph", g, "--triple", str(broken)],
+         f"triple file {broken} is not valid JSON: "),
+        (["distance", "--graph", g, "--from", str(broken), "--to", f1],
+         f"distribution file {broken} is not valid JSON: "),
+        (["distance", "--graph", str(binary), "--from", f0, "--to", f1],
+         f"graph file {binary} is not valid JSON: "),
+    ]
+    for argv, message in cases:
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+
+
 @pytest.mark.parametrize(
     "name, expected",
     [("binomial", 2.5), ("square", 0.8), ("star", 2.0), ("poisson", 2.0)],

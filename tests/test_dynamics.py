@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from got import graphs
 from got.dynamics import (
     benamou_distance,
     concatenate_pairs,
@@ -29,6 +30,7 @@ from got.measures import (
     EdgePairPath,
     TimeGrid,
     Triple,
+    VertexPath,
     convex_interpolation,
     integrate_pair,
     zero_pair,
@@ -132,6 +134,30 @@ def test_constant_speed_tree_stationary():
     pair = constant_speed_solution_tree(tree, fpath)
     assert np.abs(pair.v).max() == 0.0
     assert np.allclose(pair.g, 1.0 / 3.0)
+
+
+def test_constant_speed_tree_rejects_non_finite_samples():
+    samples = np.array([[1.0, 0.0, 0.0], [0.5, 0.5, np.nan]])
+    fpath = VertexPath(np.array([0.0, 1.0]), samples)
+    with pytest.raises(ValidationError, match="non-finite"):
+        constant_speed_solution_tree(path_graph(3), fpath)
+
+
+def test_tree_pipeline_traverses_the_tree_once(monkeypatch):
+    rng, tree, f0, f1 = _tree_instance(42, n_max=30)
+    calls = []
+    traverse = graphs._bfs
+
+    def counting(graph, source):
+        calls.append(source)
+        return traverse(graph, source)
+
+    monkeypatch.setattr(graphs, "_bfs", counting)
+    w1_tree(tree, f0, f1)
+    path = geodesic(tree, f0, f1, TimeGrid(5))
+    pair = constant_speed_solution_tree(tree, path)
+    tail_pde_check(Triple(path, pair), tree)
+    assert calls == [tree.effective_root]
 
 
 def test_constant_speed_tree_binomial_speed():

@@ -169,6 +169,62 @@ def test_outward_tree_checks():
     assert not is_outward_tree(CYCLE4)
 
 
+def test_structure_errors_name_the_offending_edge():
+    # edges 0 and 1 both point toward the root; the one met first is named
+    inward = DirectedGraph(("0", "1", "2"), ((2, 1), (1, 0)), root=0)
+    with pytest.raises(ValidationError) as info:
+        outward_tree_structure(inward)
+    assert str(info.value) == "edge 1 ('1'->'0') points toward the root '0'"
+    with pytest.raises(ValidationError) as info:
+        outward_tree_structure(CYCLE4)
+    assert str(info.value) == "not a tree: edge 2 ('3'->'2') closes a cycle"
+    with pytest.raises(ValidationError) as info:
+        outward_tree_structure(CYCLE4, root=2)
+    assert str(info.value) == "not a tree: edge 3 ('0'->'3') closes a cycle"
+    with pytest.raises(ValidationError) as info:
+        DirectedGraph(("a", "b", "c", "d"), ((2, 3), (0, 1)))
+    assert str(info.value) == "graph is not connected: vertex 'c' is unreachable"
+
+
+def test_outward_tree_explicit_root():
+    # outward from vertex 1, not from the graph's own root 0
+    graph = DirectedGraph(("0", "1", "2"), ((1, 0), (1, 2)))
+    assert not is_outward_tree(graph)
+    assert is_outward_tree(graph, root=1)
+    expected = (1, (1, 0, 2), (1, -1, 1), (0, -1, 1))
+    assert outward_tree_structure(graph, root=1) == expected
+    assert not is_outward_tree(PATH3, root=2)
+    assert is_outward_tree(STAR3, root=0)
+    assert not is_outward_tree(STAR3, root=3)
+    for bad in (-1, 3):
+        with pytest.raises(ValidationError, match="root vertex out of range"):
+            outward_tree_structure(PATH3, root=bad)
+
+
+def test_cached_tree_structure_is_shared_and_immutable():
+    structure = outward_tree_structure(STAR3)
+    assert outward_tree_structure(STAR3) is structure
+    assert structure == (0, (0, 1, 2, 3), (-1, 0, 0, 0), (-1, 0, 1, 2))
+    assert all(isinstance(part, tuple) for part in structure[1:])
+    # an explicit root, even the graph's own, is computed afresh
+    assert outward_tree_structure(STAR3, root=0) == structure
+    assert outward_tree_structure(STAR3, root=0) is not structure
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_metric_matches_networkx(seed):
+    nx = pytest.importorskip("networkx")
+    rng = np.random.default_rng(700 + seed)
+    n = int(rng.integers(2, 40))
+    graph = random_connected_graph(rng, n, int(rng.integers(0, 2 * n)))
+    reference = nx.Graph()
+    reference.add_nodes_from(range(n))
+    reference.add_edges_from(graph.edges)
+    lengths = dict(nx.shortest_path_length(reference))
+    expected = np.array([[lengths[x][y] for y in range(n)] for x in range(n)])
+    assert np.array_equal(shortest_path_metric(graph), expected)
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_random_tree_is_outward(seed):
     rng = np.random.default_rng(300 + seed)

@@ -66,6 +66,20 @@ def test_tail_monotonicity_and_linearity(seed):
     assert np.abs(mixed - (alpha * F + (1 - alpha) * tails(tree, h))).max() <= 1e-12
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_tails_of_a_stack_match_each_row_bitwise(seed):
+    rng = np.random.default_rng(500 + seed)
+    tree = random_tree(rng, int(rng.integers(1, 40)))
+    stack = rng.random((int(rng.integers(1, 9)), tree.n_vertices))
+    stacked = tails(tree, stack)
+    rows = np.stack([tails(tree, row) for row in stack])
+    assert stacked.shape == stack.shape
+    assert stacked.tobytes() == rows.tobytes()
+    for bad in (np.zeros(tree.n_vertices + 1), np.zeros((2, 1, tree.n_vertices))):
+        with pytest.raises(ValidationError, match="mass has shape"):
+            tails(tree, bad)
+
+
 def test_integrate_zero_pair_is_constant():
     f0 = np.array([0.2, 0.3, 0.5])
     path = integrate_pair(f0, zero_pair(2, steps=4), build_incidence(PATH3))

@@ -1,70 +1,14 @@
-"""Hot inner loop of the simplex solver, in compiled and pure-numpy flavors.
-
-Both flavors run Bland's rule with an identical tie-break (smallest basis
-variable among rows within RATIO_TIE of the minimum ratio), so they follow
-the same pivot sequence on the same tableau. ``simplex_iterate`` is the
-flavor selected at import time; benchmarks/bench_simplex.py times one
-against the other.
-"""
+"""Hot inner loop of the simplex solver: Bland's rule, where among rows
+within RATIO_TIE of the minimum ratio the smallest basis variable leaves,
+so the same tableau always gives the same pivot sequence."""
 
 import numpy as np
-
-from ._accel import USE_NUMBA, njit
 
 STATUS_OPTIMAL = 0
 STATUS_UNBOUNDED = 1
 STATUS_ITER_LIMIT = 2
 
 RATIO_TIE = 1e-12
-
-
-def _iterate_loops(tableau, basis, pivot_tol, opt_tol, max_iter):
-    # tableau rows 0..m-1 are constraints, row m holds reduced costs;
-    # column n is the right-hand side. Mutates tableau and basis in place.
-    m = tableau.shape[0] - 1
-    n = tableau.shape[1] - 1
-    iters = 0
-    while iters < max_iter:
-        col = -1
-        for j in range(n):
-            if tableau[m, j] < -opt_tol:
-                col = j
-                break
-        if col < 0:
-            return STATUS_OPTIMAL, iters
-        best = np.inf
-        for i in range(m):
-            a = tableau[i, col]
-            if a > pivot_tol:
-                r = tableau[i, n] / a
-                if r < best:
-                    best = r
-        if best == np.inf:
-            return STATUS_UNBOUNDED, iters
-        row = -1
-        row_var = -1
-        for i in range(m):
-            a = tableau[i, col]
-            if a > pivot_tol:
-                r = tableau[i, n] / a
-                if r <= best + RATIO_TIE:
-                    if row < 0 or basis[i] < row_var:
-                        row = i
-                        row_var = basis[i]
-        inv = 1.0 / tableau[row, col]
-        for j in range(n + 1):
-            tableau[row, j] *= inv
-        tableau[row, col] = 1.0
-        for i in range(m + 1):
-            if i != row:
-                factor = tableau[i, col]
-                if factor != 0.0:
-                    for j in range(n + 1):
-                        tableau[i, j] -= factor * tableau[row, j]
-                    tableau[i, col] = 0.0
-        basis[row] = col
-        iters += 1
-    return STATUS_ITER_LIMIT, iters
 
 
 def pivot(tableau, basis, row, col):
@@ -81,8 +25,10 @@ def pivot(tableau, basis, row, col):
     basis[row] = col
 
 
-def simplex_iterate_numpy(tableau, basis, pivot_tol, opt_tol, max_iter):
-    """Vectorized twin of the compiled kernel; same pivots, same tableaus."""
+def simplex_iterate(tableau, basis, pivot_tol, opt_tol, max_iter):
+    """Pivot until optimal, unbounded or ``max_iter``; returns (status, pivots).
+    Row m of the tableau holds reduced costs and column n the right-hand
+    side; tableau and basis are changed in place."""
     m = tableau.shape[0] - 1
     n = tableau.shape[1] - 1
     iters = 0
@@ -103,11 +49,3 @@ def simplex_iterate_numpy(tableau, basis, pivot_tol, opt_tol, max_iter):
         pivot(tableau, basis, row, col)
         iters += 1
     return STATUS_ITER_LIMIT, iters
-
-
-if USE_NUMBA:
-    simplex_iterate_numba = njit(cache=True)(_iterate_loops)
-    simplex_iterate = simplex_iterate_numba
-else:
-    simplex_iterate_numba = None
-    simplex_iterate = simplex_iterate_numpy

@@ -12,6 +12,7 @@ import sys
 import numpy as np
 
 from .dynamics import (
+    _check_exponent,
     benamou_distance,
     energy,
     geodesic,
@@ -91,8 +92,7 @@ def cmd_distance(args) -> int:
         raise ValidationError(
             f"unknown method {args.method!r}; choose one of {', '.join(METHODS)}"
         )
-    if args.q < 1.0:
-        raise ValidationError(f"q must be >= 1, got {args.q}")
+    _check_exponent(args.q)
     graph = load_graph(args.graph)
     f0 = load_distribution(args.from_path, graph)
     f1 = load_distribution(args.to_path, graph)
@@ -147,8 +147,7 @@ def cmd_geodesic(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.q < 1.0:
-        raise ValidationError(f"q must be >= 1, got {args.q}")
+    _check_exponent(args.q)
     graph = load_graph(args.graph)
     triple = triple_from_json(_read_json(args.triple, "triple"), graph)
     omega = graph.incidence

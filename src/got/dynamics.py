@@ -34,6 +34,13 @@ from .transport import flow_to_constant_pair, w1_beckmann
 CIRCULATION_TOL = 1e-10
 
 
+def _check_exponent(q) -> float:
+    q = float(q)
+    if not 1.0 <= q < np.inf:
+        raise ValidationError(f"energy exponent q must be finite and >= 1, got {q}")
+    return q
+
+
 @dataclass(frozen=True)
 class EnergyReport:
     """Energy of a pair: exponent, value, and per-interval speeds."""
@@ -73,9 +80,7 @@ def transport_residual(triple: Triple, omega: np.ndarray) -> ResidualReport:
 
 def energy(pair: EdgePairPath, q: float) -> EnergyReport:
     """Time integral of sum_k g_k |v_k|^q, to the power 1/q."""
-    q = float(q)
-    if q < 1.0:
-        raise ValidationError(f"energy exponent must be >= 1, got {q}")
+    q = _check_exponent(q)
     powered = (pair.g * np.abs(pair.v) ** q).sum(axis=1)
     value = float(pair.durations @ powered) ** (1.0 / q)
     return EnergyReport(q, value, powered ** (1.0 / q))
@@ -182,8 +187,7 @@ def benamou_distance(
     Finds a minimal flow, spreads it at constant speed, and evaluates the
     energy of that pair; the value is independent of q.
     """
-    if float(q) < 1.0:
-        raise ValidationError(f"energy exponent must be >= 1, got {q}")
+    _check_exponent(q)
     _, flow = w1_beckmann(graph, f0, f1)
     pair = flow_to_constant_pair(flow)
     return energy(pair, q).value, pair

@@ -67,9 +67,12 @@ class TimeGrid:
     steps: int
 
     def __post_init__(self):
-        if int(self.steps) < 1:
+        if not float(self.steps).is_integer():
+            raise ValidationError(f"time grid steps must be an integer, got {self.steps}")
+        steps = int(self.steps)
+        if steps < 1:
             raise ValidationError("time grid needs at least one step")
-        object.__setattr__(self, "steps", int(self.steps))
+        object.__setattr__(self, "steps", steps)
 
     @cached_property
     def knots(self) -> np.ndarray:
@@ -106,6 +109,8 @@ class VertexPath:
         samples = np.array(self.samples, dtype=float)
         if samples.ndim != 2 or samples.shape[0] != knots.shape[0]:
             raise ValidationError("need one vertex sample per knot")
+        if not np.all(np.isfinite(samples)):
+            raise ValidationError("vertex samples contain non-finite entries")
         object.__setattr__(self, "knots", _frozen(knots))
         object.__setattr__(self, "samples", _frozen(samples))
 

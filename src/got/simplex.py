@@ -3,8 +3,7 @@
 Solves min c.x subject to A x = b, x >= 0, with Bland's anti-cycling rule
 and a fixed tie-break, so identical inputs give identical answers. Scope
 is desk-sized problems (a few hundred variables); there is no sparsity,
-no warm starting, and no scaling. The pivot loop lives in _kernels and is
-compiled with numba unless GOT_PURE_NUMPY is set.
+no warm starting, and no scaling. The pivot loop lives in _kernels.
 """
 
 from __future__ import annotations

@@ -97,9 +97,9 @@ def test_distance_validation_failures(cycle_files, capsys, tmp_path):
     assert cli.main(
         ["distance", "--graph", g, "--from", f0, "--to", f1, "--method", "spooky"]
     ) == 1
-    assert cli.main(
-        ["distance", "--graph", g, "--from", f0, "--to", f1, "--q", "0.5"]
-    ) == 1
+    for q in ("0.5", "nan", "inf", "-inf"):
+        assert cli.main(["distance", "--graph", g, "--from", f0, "--to", f1,
+                         "--method", "benamou", "--q", q]) == 1
     bad = tmp_path / "broken.json"
     bad.write_text("{nope")
     assert cli.main(

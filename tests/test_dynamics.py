@@ -82,8 +82,9 @@ def test_transport_residual_binomial_is_second_order():
 
 def test_energy_examples():
     assert energy(zero_pair(3, steps=2), 2.0).value == 0.0
-    with pytest.raises(ValidationError):
-        energy(zero_pair(3), 0.5)
+    for q in (0.5, np.nan, np.inf):
+        with pytest.raises(ValidationError):
+            energy(zero_pair(3), q)
     example = binomial_example(steps=50)
     assert energy(example.triple.pair, 2.0).value == pytest.approx(2.5, abs=1e-9)
 
@@ -138,8 +139,9 @@ def test_constant_speed_tree_stationary():
 
 def test_constant_speed_tree_rejects_non_finite_samples():
     samples = np.array([[1.0, 0.0, 0.0], [0.5, 0.5, np.nan]])
-    fpath = VertexPath(np.array([0.0, 1.0]), samples)
+    # the path refuses the samples before any pair can be built
     with pytest.raises(ValidationError, match="non-finite"):
+        fpath = VertexPath(np.array([0.0, 1.0]), samples)
         constant_speed_solution_tree(path_graph(3), fpath)
 
 

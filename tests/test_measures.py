@@ -199,6 +199,11 @@ def test_tv_examples():
 def test_grid_and_pair_validation():
     with pytest.raises(ValidationError):
         TimeGrid(0)
+    with pytest.raises(ValidationError, match="integer"):
+        TimeGrid(2.7)
+    assert TimeGrid(np.int64(3)).steps == 3
+    with pytest.raises(ValidationError, match="non-finite"):
+        VertexPath([0.0, 1.0], [[1.0, 0.0], [np.nan, 1.0]])
     with pytest.raises(ValidationError, match="edge distribution"):
         EdgePairPath(TimeGrid(1).knots.copy(), [[1.0, 1.0]], [[0.9, 0.9]])
     with pytest.raises(ValidationError, match="grids"):

@@ -1,3 +1,8 @@
+import ast
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -99,21 +104,24 @@ def test_objective_invariant_under_permutation(seed):
     assert abs(again.objective_value - base.objective_value) <= 1e-9
 
 
-def test_kernels_agree():
-    if _kernels.simplex_iterate_numba is None:
-        pytest.skip("numba kernel disabled")
-    rng = np.random.default_rng(11)
-    for _ in range(5):
-        lp = _random_lp(rng)
-        saved = _kernels.simplex_iterate
-        try:
-            _kernels.simplex_iterate = _kernels.simplex_iterate_numba
-            fast = solve_lp(lp)
-            _kernels.simplex_iterate = _kernels.simplex_iterate_numpy
-            slow = solve_lp(lp)
-        finally:
-            _kernels.simplex_iterate = saved
-        assert fast.status == slow.status
-        if fast.status == "optimal":
-            assert np.abs(fast.x - slow.x).max() <= 1e-12
-            assert fast.iterations == slow.iterations
+def test_numpy_is_the_only_dependency():
+    # no module of the package imports, or probes for, anything else
+    package = Path(_kernels.__file__).parent
+    allowed = set(sys.stdlib_module_names) | {"got", "numpy"}
+    for source in package.glob("*.py"):
+        for node in ast.walk(ast.parse(source.read_text())):
+            if isinstance(node, ast.Import):
+                names = {alias.name.partition(".")[0] for alias in node.names}
+                assert names <= allowed, (source.name, names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                assert node.module.partition(".")[0] in allowed, source.name
+    probe = (
+        f"import sys; sys.path.insert(0, {str(package.parent)!r}); "
+        "before = set(sys.modules); import got; "
+        "print(sorted({m.partition('.')[0] for m in set(sys.modules) - before}))"
+    )
+    loaded = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                            text=True, check=True).stdout
+    assert set(ast.literal_eval(loaded)) <= allowed
+    kernels = sorted(name for name, value in vars(_kernels).items() if callable(value))
+    assert kernels == ["pivot", "simplex_iterate"]

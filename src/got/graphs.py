@@ -27,8 +27,8 @@ def _frozen(array: np.ndarray) -> np.ndarray:
 class DirectedGraph:
     """A finite simple connected graph with a fixed edge orientation.
 
-    ``root`` is optional; rooted-tree operations and the default dropped
-    row of the incidence system fall back to vertex 0 when it is unset.
+    ``root`` is optional; rooted-tree operations and the dropped row of
+    the incidence system fall back to vertex 0 when it is unset.
     """
 
     labels: tuple[str, ...]
@@ -62,7 +62,7 @@ class DirectedGraph:
             seen.add(key)
         if self.root is not None and not (0 <= int(self.root) < n):
             raise ValidationError("root vertex out of range")
-        _, _, _, depth = _bfs(self, 0)
+        depth = self._traversal[3]
         if -1 in depth:
             raise ValidationError(
                 f"graph is not connected: vertex {self.labels[depth.index(-1)]!r} "
@@ -96,8 +96,13 @@ class DirectedGraph:
         return tuple(tuple(entries) for entries in adj)
 
     @cached_property
+    def _traversal(self) -> _Traversal:
+        # the one traversal from the root: connectivity check, rooted tree
+        return _bfs(self, self.effective_root)
+
+    @cached_property
     def _outward_tree(self) -> _TreeStructure:
-        return _orient_tree(self, self.effective_root)
+        return _orient_tree(self)
 
     def is_tree(self) -> bool:
         return self.n_edges == self.n_vertices - 1
@@ -110,17 +115,16 @@ class DirectedGraph:
 
 
 _TreeStructure = tuple[int, tuple[int, ...], tuple[int, ...], tuple[int, ...]]
+_Traversal = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], tuple[int, ...]]
 
 
-def _bfs(
-    graph: DirectedGraph, source: int
-) -> tuple[list[int], list[int], list[int], list[int]]:
+def _bfs(graph: DirectedGraph, source: int) -> _Traversal:
     """Breadth-first traversal of the underlying undirected graph.
 
     Neighbours are visited in ascending edge index. Returns (order,
-    parent_vertex, parent_edge, depth): ``order`` lists the reached
-    vertices in visiting order; the source has parent -1 and depth 0,
-    unreached vertices have parent -1 and depth -1.
+    parent_vertex, parent_edge, depth) as tuples: ``order`` lists the
+    reached vertices in visiting order; the source has parent -1 and
+    depth 0, unreached vertices have parent -1 and depth -1.
     """
     n = graph.n_vertices
     parent_vertex = [-1] * n
@@ -136,7 +140,7 @@ def _bfs(
                 parent_vertex[y] = x
                 parent_edge[y] = k
                 order.append(y)
-    return order, parent_vertex, parent_edge, depth
+    return tuple(order), tuple(parent_vertex), tuple(parent_edge), tuple(depth)
 
 
 def build_incidence(graph: DirectedGraph) -> np.ndarray:
@@ -181,27 +185,20 @@ def shortest_path_metric(graph: DirectedGraph) -> np.ndarray:
     )
 
 
-def outward_tree_structure(
-    graph: DirectedGraph, root: int | None = None
-) -> _TreeStructure:
-    """Validate that the graph is a tree oriented away from the root.
+def outward_tree_structure(graph: DirectedGraph) -> _TreeStructure:
+    """Validate that the graph is a tree oriented away from its root.
 
     Returns (root, bfs_order, parent_vertex, parent_edge) as tuples; the
     parent entries of the root are -1. Raises ValidationError naming an
     offending edge when the graph has a cycle or an edge pointing toward
-    the root. The structure for the graph's own root is computed once and
-    cached on the graph; an explicit ``root`` is computed on every call.
+    the root. The structure is computed once and cached on the graph.
     """
-    if root is None:
-        return graph._outward_tree
-    root = int(root)
-    if not (0 <= root < graph.n_vertices):
-        raise ValidationError("root vertex out of range")
-    return _orient_tree(graph, root)
+    return graph._outward_tree
 
 
-def _orient_tree(graph: DirectedGraph, root: int) -> _TreeStructure:
-    order, parent_vertex, parent_edge, _ = _bfs(graph, root)
+def _orient_tree(graph: DirectedGraph) -> _TreeStructure:
+    root = graph.effective_root
+    order, parent_vertex, parent_edge, _ = graph._traversal
     if not graph.is_tree():
         # connected with |E| > |V|-1: an edge the traversal skipped closes a cycle
         taken = set(parent_edge)
@@ -220,12 +217,12 @@ def _orient_tree(graph: DirectedGraph, root: int) -> _TreeStructure:
                 f"edge {k} ({graph.labels[tail]!r}->{graph.labels[head]!r}) "
                 f"points toward the root {graph.labels[root]!r}"
             )
-    return root, tuple(order), tuple(parent_vertex), tuple(parent_edge)
+    return root, order, parent_vertex, parent_edge
 
 
-def is_outward_tree(graph: DirectedGraph, root: int | None = None) -> bool:
+def is_outward_tree(graph: DirectedGraph) -> bool:
     try:
-        outward_tree_structure(graph, root)
+        outward_tree_structure(graph)
     except ValidationError:
         return False
     return True
@@ -255,20 +252,15 @@ class SpanningTreeDecomposition:
         return self.cycle_basis.shape[0]
 
 
-def spanning_tree_decomposition(
-    graph: DirectedGraph, dropped: int | None = None
-) -> SpanningTreeDecomposition:
-    """Breadth-first spanning tree from the dropped vertex (default: root).
+def spanning_tree_decomposition(graph: DirectedGraph) -> SpanningTreeDecomposition:
+    """The graph's breadth-first tree from its root, the dropped vertex.
 
     Ties between edges are broken by ascending edge index, so the result
     is reproducible for a given graph.
     """
     n, m = graph.n_vertices, graph.n_edges
-    dropped = graph.effective_root if dropped is None else int(dropped)
-    if not (0 <= dropped < n):
-        raise ValidationError("dropped vertex out of range")
-
-    order, parent_vertex, parent_edge, _ = _bfs(graph, dropped)
+    dropped = graph.effective_root
+    order, parent_vertex, parent_edge, _ = graph._traversal
     tree_edges = tuple(parent_edge[y] for y in order[1:])
     in_tree = set(tree_edges)
     nontree_edges = tuple(k for k in range(m) if k not in in_tree)

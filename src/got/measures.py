@@ -9,6 +9,7 @@ sum to one.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -51,15 +52,6 @@ def edge_distribution(values, n_edges: int) -> np.ndarray:
     return _clean_mass(values, n_edges, "edge distribution")
 
 
-def edge_velocity(values, n_edges: int) -> np.ndarray:
-    arr = np.array(values, dtype=float).reshape(-1)
-    if arr.shape[0] != n_edges:
-        raise ValidationError(f"velocity has length {arr.shape[0]}, expected {n_edges}")
-    if n_edges and not np.all(np.isfinite(arr)):
-        raise ValidationError("velocity contains non-finite entries")
-    return arr
-
-
 @dataclass(frozen=True)
 class TimeGrid:
     """Uniform grid of M intervals on [0, 1]."""
@@ -81,6 +73,8 @@ class TimeGrid:
 
 def _check_knots(knots: np.ndarray) -> np.ndarray:
     knots = np.array(knots, dtype=float).reshape(-1)
+    if not np.all(np.isfinite(knots)):
+        raise ValidationError("knots must be finite")
     if knots.shape[0] < 2:
         raise ValidationError("a path needs at least two knots")
     if abs(knots[0]) > 1e-12 or abs(knots[-1] - 1.0) > 1e-12:
@@ -309,11 +303,13 @@ def distribution_from_json(payload: dict, labels: tuple[str, ...]) -> np.ndarray
             detail.append(f"unknown labels {extra}")
         raise ValidationError("distribution keys do not match the graph: "
                               + "; ".join(detail))
-    try:
-        mass = [float(values[label]) for label in labels]
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"distribution values must be numbers: {exc}") from exc
-    return vertex_distribution(mass, len(labels))
+    for label in labels:
+        value = values[label]
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ValidationError(
+                f"distribution values must be numbers: {label!r} has {value!r}"
+            )
+    return vertex_distribution([values[label] for label in labels], len(labels))
 
 
 def load_distribution(path, graph: DirectedGraph) -> np.ndarray:
@@ -325,7 +321,7 @@ def triple_from_json(payload: dict, graph: DirectedGraph) -> Triple:
     if not isinstance(payload, dict):
         raise ValidationError("triple JSON must be an object")
     steps = payload.get("steps")
-    if not isinstance(steps, int) or steps < 1:
+    if isinstance(steps, bool) or not isinstance(steps, int) or steps < 1:
         raise ValidationError("triple JSON needs a positive integer 'steps'")
     n, m = graph.n_vertices, graph.n_edges
     try:

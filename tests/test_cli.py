@@ -1,10 +1,13 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import got
 from got import cli
 from got.graphs import graph_to_json
 from got.measures import TimeGrid, Triple, convex_interpolation, triple_to_json
@@ -109,6 +112,12 @@ def test_distance_validation_failures(cycle_files, capsys, tmp_path):
     assert cli.main(
         ["distance", "--graph", g, "--from", unbalanced, "--to", f1]
     ) == 1
+    for bad in ("1", True):
+        textual = _write(tmp_path, "s.json", _dist([bad, 0, 0, 0]))
+        assert cli.main(
+            ["distance", "--graph", g, "--from", textual, "--to", f1]
+        ) == 1
+        assert "distribution values must be numbers" in capsys.readouterr().err
     capsys.readouterr()
 
 
@@ -200,7 +209,12 @@ def test_verify_malformed_triple(tmp_path, capsys):
     g = _write(tmp_path, "g.json", CYCLE_JSON)
     t = _write(tmp_path, "t.json", {"steps": 2, "f": [[1, 0, 0, 0]]})
     assert cli.main(["verify", "--graph", g, "--triple", t]) == 1
-    capsys.readouterr()
+    boolean = _write(tmp_path, "b.json", {
+        "steps": True, "f": [[1, 0, 0, 0], [0, 1, 0, 0]],
+        "v": [[1, 0, 0, 0]], "g": [[1, 0, 0, 0]],
+    })
+    assert cli.main(["verify", "--graph", g, "--triple", boolean]) == 1
+    assert "positive integer 'steps'" in capsys.readouterr().err
 
 
 def test_unreadable_or_invalid_json_files_exit_one(cycle_files, tmp_path, capsys):
@@ -296,11 +310,15 @@ def test_console_entry_point(tmp_path):
     g = _write(tmp_path, "g.json", CYCLE_JSON)
     f0 = _write(tmp_path, "f0.json", _dist([0.25, 0.25, 0.25, 0.25]))
     f1 = _write(tmp_path, "f1.json", _dist([0.09, 0.01, 0.09, 0.81]))
+    # the child imports the package under test, installed or not
+    package_root = str(Path(got.__file__).resolve().parents[1])
+    search = [package_root, os.environ.get("PYTHONPATH", "")]
     proc = subprocess.run(
         [sys.executable, "-m", "got.cli", "distance", "--graph", g,
          "--from", f0, "--to", f1, "--method", "beckmann"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, search))},
     )
     assert proc.returncode == 0
     assert "distance: 0.8" in proc.stdout

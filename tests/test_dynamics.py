@@ -146,7 +146,9 @@ def test_constant_speed_tree_rejects_non_finite_samples():
 
 
 def test_tree_pipeline_traverses_the_tree_once(monkeypatch):
+    # construction, tree structure and decomposition share one traversal
     rng, tree, f0, f1 = _tree_instance(42, n_max=30)
+    cyclic = random_connected_graph(rng, tree.n_vertices, 6)
     calls = []
     traverse = graphs._bfs
 
@@ -155,11 +157,20 @@ def test_tree_pipeline_traverses_the_tree_once(monkeypatch):
         return traverse(graph, source)
 
     monkeypatch.setattr(graphs, "_bfs", counting)
-    w1_tree(tree, f0, f1)
-    path = geodesic(tree, f0, f1, TimeGrid(5))
-    pair = constant_speed_solution_tree(tree, path)
-    tail_pde_check(Triple(path, pair), tree)
-    assert calls == [tree.effective_root]
+    for shape, root in ((tree, 0), (cyclic, int(rng.integers(1, tree.n_vertices)))):
+        calls.clear()
+        graph = DirectedGraph(shape.labels, shape.edges, root=root)
+        is_tree = graphs.is_outward_tree(graph)
+        assert is_tree == (shape is tree)
+        decomp = spanning_tree_decomposition(graph)
+        assert decomp.dropped_vertex == root
+        constant_speed_solution_graph(decomp, f0, f1)
+        if is_tree:
+            w1_tree(graph, f0, f1)
+            path = geodesic(graph, f0, f1, TimeGrid(5))
+            pair = constant_speed_solution_tree(graph, path)
+            tail_pde_check(Triple(path, pair), graph)
+        assert calls == [root]
 
 
 def test_constant_speed_tree_binomial_speed():

@@ -179,26 +179,34 @@ def test_structure_errors_name_the_offending_edge():
         outward_tree_structure(CYCLE4)
     assert str(info.value) == "not a tree: edge 2 ('3'->'2') closes a cycle"
     with pytest.raises(ValidationError) as info:
-        outward_tree_structure(CYCLE4, root=2)
+        outward_tree_structure(DirectedGraph(CYCLE4.labels, CYCLE4.edges, root=2))
     assert str(info.value) == "not a tree: edge 3 ('0'->'3') closes a cycle"
     with pytest.raises(ValidationError) as info:
         DirectedGraph(("a", "b", "c", "d"), ((2, 3), (0, 1)))
     assert str(info.value) == "graph is not connected: vertex 'c' is unreachable"
+    # the lowest-index vertex the root cannot reach is named
+    with pytest.raises(ValidationError) as info:
+        DirectedGraph(("a", "b", "c", "d"), ((2, 3), (0, 1)), root=2)
+    assert str(info.value) == "graph is not connected: vertex 'a' is unreachable"
+
+
+def rerooted(graph, root):
+    return DirectedGraph(graph.labels, graph.edges, root=root)
 
 
 def test_outward_tree_explicit_root():
-    # outward from vertex 1, not from the graph's own root 0
+    # outward from vertex 1, not from the default root 0
     graph = DirectedGraph(("0", "1", "2"), ((1, 0), (1, 2)))
     assert not is_outward_tree(graph)
-    assert is_outward_tree(graph, root=1)
+    assert is_outward_tree(rerooted(graph, 1))
     expected = (1, (1, 0, 2), (1, -1, 1), (0, -1, 1))
-    assert outward_tree_structure(graph, root=1) == expected
-    assert not is_outward_tree(PATH3, root=2)
-    assert is_outward_tree(STAR3, root=0)
-    assert not is_outward_tree(STAR3, root=3)
+    assert outward_tree_structure(rerooted(graph, 1)) == expected
+    assert not is_outward_tree(rerooted(PATH3, 2))
+    assert is_outward_tree(rerooted(STAR3, 0))
+    assert not is_outward_tree(rerooted(STAR3, 3))
     for bad in (-1, 3):
         with pytest.raises(ValidationError, match="root vertex out of range"):
-            outward_tree_structure(PATH3, root=bad)
+            rerooted(PATH3, bad)
 
 
 def test_cached_tree_structure_is_shared_and_immutable():
@@ -206,9 +214,6 @@ def test_cached_tree_structure_is_shared_and_immutable():
     assert outward_tree_structure(STAR3) is structure
     assert structure == (0, (0, 1, 2, 3), (-1, 0, 0, 0), (-1, 0, 1, 2))
     assert all(isinstance(part, tuple) for part in structure[1:])
-    # an explicit root, even the graph's own, is computed afresh
-    assert outward_tree_structure(STAR3, root=0) == structure
-    assert outward_tree_structure(STAR3, root=0) is not structure
 
 
 @pytest.mark.parametrize("seed", range(6))

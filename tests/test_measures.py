@@ -204,6 +204,10 @@ def test_grid_and_pair_validation():
     assert TimeGrid(np.int64(3)).steps == 3
     with pytest.raises(ValidationError, match="non-finite"):
         VertexPath([0.0, 1.0], [[1.0, 0.0], [np.nan, 1.0]])
+    with pytest.raises(ValidationError, match="knots must be finite"):
+        VertexPath([0.0, np.nan, 1.0], [[1.0, 0.0]] * 3)
+    with pytest.raises(ValidationError, match="knots must be finite"):
+        EdgePairPath([0.0, np.nan, 1.0], [[1.0]] * 2, [[1.0]] * 2)
     with pytest.raises(ValidationError, match="edge distribution"):
         EdgePairPath(TimeGrid(1).knots.copy(), [[1.0, 1.0]], [[0.9, 0.9]])
     with pytest.raises(ValidationError, match="grids"):
@@ -221,6 +225,12 @@ def test_distribution_json():
         distribution_from_json({"values": {"a": 1.0}}, labels)
     with pytest.raises(ValidationError, match="unknown labels"):
         distribution_from_json({"values": {"a": 0.5, "b": 0.25, "c": 0.25}}, labels)
+    for bad in ("0.25", True, None, [0.25]):
+        with pytest.raises(ValidationError, match="values must be numbers"):
+            distribution_from_json({"values": {"a": bad, "b": 0.75}}, labels)
+    assert distribution_from_json({"values": {"a": 0, "b": 1}}, labels) == pytest.approx(
+        [0.0, 1.0]
+    )
 
 
 def test_triple_json_round_trip():
@@ -235,3 +245,8 @@ def test_triple_json_round_trip():
     assert np.allclose(again.pair.v, triple.pair.v)
     with pytest.raises(ValidationError):
         triple_from_json({"steps": 2, "f": [[1, 0, 0]], "v": [], "g": []}, PATH3)
+    one_step = {"f": [[1, 0, 0], [0, 0, 1]], "v": [[2, 2]], "g": [[0.5, 0.5]]}
+    assert triple_from_json({"steps": 1, **one_step}, PATH3).pair.steps == 1
+    for bad in (True, 1.0, "1", 0):
+        with pytest.raises(ValidationError, match="positive integer 'steps'"):
+            triple_from_json({"steps": bad, **one_step}, PATH3)

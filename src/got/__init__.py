@@ -35,6 +35,7 @@ from .graphs import (
     load_graph,
     shortest_path_metric,
     spanning_tree_decomposition,
+    tree_flow,
 )
 from .measures import (
     EdgePairPath,

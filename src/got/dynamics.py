@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .graphs import DirectedGraph, SpanningTreeDecomposition
+from .graphs import DirectedGraph, SpanningTreeDecomposition, tree_flow
 from .measures import (
     EdgePairPath,
     TimeGrid,
@@ -89,9 +89,8 @@ def energy(pair: EdgePairPath, q: float) -> EnergyReport:
 def _tail_flux(tree: DirectedGraph, path: VertexPath) -> np.ndarray:
     """Per interval, the tail difference at each edge's head over the
     interval length: the flux v*g that drives the path on the tree."""
-    heads = np.array([head for _, head in tree.edges], dtype=np.int64)
     dFdt = np.diff(tails(tree, path.samples), axis=0) / path.durations[:, None]
-    return dFdt[:, heads]
+    return dFdt[:, tree._endpoints[1]]
 
 
 def tail_pde_check(triple: Triple, tree: DirectedGraph) -> TailResidualReport:
@@ -126,7 +125,9 @@ def constant_speed_solution_graph(
 ) -> EdgePairPath:
     """Time-constant pair whose flux integral is P (f1 - f0) + epsilon.
 
-    ``epsilon`` must lie in the kernel of the incidence matrix (a signed
+    P (f1 - f0) is the decomposition's spanning-tree flow, computed in
+    O(|V|) by ``tree_flow`` without the dense right inverse. ``epsilon``
+    must lie in the kernel of the incidence matrix (a signed
     circulation); it parameterizes the family of solutions on graphs with
     cycles. The returned pair minimizes the energy among all pairs with
     the same flux integral, for every exponent q.
@@ -143,15 +144,14 @@ def constant_speed_solution_graph(
                               f"expected {m}")
     # net inflow per vertex from the edge list; the dense incidence matrix
     # of a large graph would dominate the memory of this call
-    tail, head = np.array(graph.edges, dtype=np.int64).reshape(-1, 2).T
+    tail, head = graph._endpoints
     net = np.bincount(head, epsilon, n) - np.bincount(tail, epsilon, n)
     drift = float(np.abs(net).max())
     if drift > CIRCULATION_TOL:
         raise ValidationError(
             f"epsilon is not a circulation: incidence . epsilon reaches {drift:.3e}"
         )
-    delta = (f1 - f0)[list(decomp.kept_vertices)]
-    target = decomp.right_inverse @ delta + epsilon
+    target = tree_flow(graph, f1 - f0) + epsilon
     v, g = _constant_speed_rows(target.reshape(1, -1))
     return EdgePairPath(np.array([0.0, 1.0]), v, g)
 

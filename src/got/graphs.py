@@ -104,6 +104,16 @@ class DirectedGraph:
     def _outward_tree(self) -> _TreeStructure:
         return _orient_tree(self)
 
+    @cached_property
+    def _endpoints(self) -> tuple[np.ndarray, np.ndarray]:
+        # int64 tail and head index of every edge (read-only, shared)
+        tail, head = np.array(self.edges, dtype=np.int64).reshape(-1, 2).T
+        return _frozen(tail.copy()), _frozen(head.copy())
+
+    @cached_property
+    def _sweep(self) -> _Sweep:
+        return _leaves_to_root(self)
+
     def is_tree(self) -> bool:
         return self.n_edges == self.n_vertices - 1
 
@@ -116,6 +126,7 @@ class DirectedGraph:
 
 _TreeStructure = tuple[int, tuple[int, ...], tuple[int, ...], tuple[int, ...]]
 _Traversal = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], tuple[int, ...]]
+_Sweep = tuple[tuple[np.ndarray, np.ndarray], ...]
 
 
 def _bfs(graph: DirectedGraph, source: int) -> _Traversal:
@@ -141,6 +152,73 @@ def _bfs(graph: DirectedGraph, source: int) -> _Traversal:
                 parent_edge[y] = k
                 order.append(y)
     return tuple(order), tuple(parent_vertex), tuple(parent_edge), tuple(depth)
+
+
+def _leaves_to_root(graph: DirectedGraph) -> _Sweep:
+    """Batches (children, parents) that add each vertex into its parent.
+
+    Deepest level first, within a level children in reversed visiting
+    order, split by sibling rank so that a parent appears at most once per
+    batch. Every parent so receives its children's sums in the order of a
+    one-vertex-at-a-time pass over the reversed visiting order.
+    """
+    order, parent_vertex, _, depth = graph._traversal
+    batches: list[tuple[list[int], list[int]]] = []
+    level_start, level_depth, rank = 0, -1, {}
+    for x in reversed(order[1:]):
+        if depth[x] != level_depth:
+            level_start, level_depth, rank = len(batches), depth[x], {}
+        parent = parent_vertex[x]
+        r = rank.get(parent, 0)
+        rank[parent] = r + 1
+        if level_start + r == len(batches):
+            batches.append(([], []))
+        children, parents = batches[level_start + r]
+        children.append(x)
+        parents.append(parent)
+    return tuple(
+        (_frozen(np.array(children, dtype=np.int64)),
+         _frozen(np.array(parents, dtype=np.int64)))
+        for children, parents in batches
+    )
+
+
+def _subtree_sums(graph: DirectedGraph, mass: np.ndarray) -> np.ndarray:
+    """Add every vertex's entry into its parent's, leaves first, in place.
+
+    ``mass`` is a float array with vertices on its last axis; afterwards
+    entry x holds the sum over x's subtree in the graph's breadth-first
+    tree, so the root holds the total.
+    """
+    by_vertex = mass.T
+    for children, parents in graph._sweep:
+        by_vertex[parents] += by_vertex[children]
+    return mass
+
+
+def tree_flow(graph: DirectedGraph, delta) -> np.ndarray:
+    """The flow P . delta of the graph's breadth-first spanning tree.
+
+    On the tree edge ``parent_edge[x]`` it is the mass of ``delta`` summed
+    over x's subtree, with sign + when the edge's head is x; non-tree
+    edges carry 0. For ``delta`` summing to zero its net inflow at every
+    vertex is ``delta``. Takes one vector over the vertices or a stack of
+    them, one row each, in O(|V|) per row.
+    """
+    n = graph.n_vertices
+    D = np.array(delta, dtype=float)
+    if D.ndim > 2 or D.shape[-1:] != (n,):
+        raise ValidationError(
+            f"delta has shape {D.shape}, expected ({n},) or (rows, {n})"
+        )
+    sums = _subtree_sums(graph, D)
+    order, _, parent_edge, _ = graph._traversal
+    kids = np.array(order[1:], dtype=np.int64)
+    edges = np.array(parent_edge, dtype=np.int64)[kids]
+    sign = np.where(graph._endpoints[1][edges] == kids, 1.0, -1.0)
+    flow = np.zeros(D.shape[:-1] + (graph.n_edges,))
+    flow[..., edges] = sign * sums[..., kids]
+    return flow
 
 
 def build_incidence(graph: DirectedGraph) -> np.ndarray:
@@ -230,13 +308,16 @@ def is_outward_tree(graph: DirectedGraph) -> bool:
 
 @dataclass(frozen=True)
 class SpanningTreeDecomposition:
-    """A spanning tree's right inverse of the reduced incidence matrix.
+    """The graph's breadth-first spanning tree and its dense operators.
 
-    ``right_inverse`` P satisfies omega-with-dropped-row . P = identity;
-    its column for vertex y routes a unit of mass from the dropped vertex
-    to y along tree edges, signed by orientation. ``cycle_basis`` rows
-    span the kernel of the full incidence matrix, one row per non-tree
-    edge (coefficient +1 there, tree edges closing the cycle elsewhere).
+    Solve paths use ``tree_flow``, which applies ``right_inverse`` in
+    O(|V|). The dense views are for operator-identity tests; each is
+    built on first access, then cached read-only. ``right_inverse`` P
+    satisfies omega-with-dropped-row . P = identity; its column for
+    vertex y routes a unit of mass from the dropped vertex to y along
+    tree edges, signed by orientation. ``cycle_basis`` rows span the
+    kernel of the full incidence matrix, one row per non-tree edge
+    (coefficient +1 there, tree edges closing the cycle elsewhere).
     """
 
     graph: DirectedGraph
@@ -244,12 +325,41 @@ class SpanningTreeDecomposition:
     tree_edges: tuple[int, ...]
     nontree_edges: tuple[int, ...]
     kept_vertices: tuple[int, ...]
-    right_inverse: np.ndarray
-    cycle_basis: np.ndarray
 
     @property
     def nullity(self) -> int:
-        return self.cycle_basis.shape[0]
+        return len(self.nontree_edges)
+
+    @cached_property
+    def right_inverse(self) -> np.ndarray:
+        graph, dropped = self.graph, self.dropped_vertex
+        _, parent_vertex, parent_edge, _ = graph._traversal
+        column_of = {v: i for i, v in enumerate(self.kept_vertices)}
+        P = np.zeros((graph.n_edges, len(self.kept_vertices)))
+        for y in self.kept_vertices:
+            x = y
+            while x != dropped:
+                k = parent_edge[x]
+                _, head = graph.edges[k]
+                P[k, column_of[y]] = 1.0 if head == x else -1.0
+                x = parent_vertex[x]
+        return _frozen(P)
+
+    @cached_property
+    def cycle_basis(self) -> np.ndarray:
+        graph, P = self.graph, self.right_inverse
+        m = graph.n_edges
+        column_of = {v: i for i, v in enumerate(self.kept_vertices)}
+
+        def unit_flow(v: int) -> np.ndarray:
+            return np.zeros(m) if v == self.dropped_vertex else P[:, column_of[v]]
+
+        cycles = np.zeros((len(self.nontree_edges), m))
+        for i, k in enumerate(self.nontree_edges):
+            tail, head = graph.edges[k]
+            cycles[i, k] = 1.0
+            cycles[i] += unit_flow(tail) - unit_flow(head)
+        return _frozen(cycles)
 
 
 def spanning_tree_decomposition(graph: DirectedGraph) -> SpanningTreeDecomposition:
@@ -258,41 +368,16 @@ def spanning_tree_decomposition(graph: DirectedGraph) -> SpanningTreeDecompositi
     Ties between edges are broken by ascending edge index, so the result
     is reproducible for a given graph.
     """
-    n, m = graph.n_vertices, graph.n_edges
     dropped = graph.effective_root
-    order, parent_vertex, parent_edge, _ = graph._traversal
+    order, _, parent_edge, _ = graph._traversal
     tree_edges = tuple(parent_edge[y] for y in order[1:])
     in_tree = set(tree_edges)
-    nontree_edges = tuple(k for k in range(m) if k not in in_tree)
-
-    kept = tuple(v for v in range(n) if v != dropped)
-    column_of = {v: i for i, v in enumerate(kept)}
-    P = np.zeros((m, n - 1)) if n > 1 else np.zeros((m, 0))
-    for y in kept:
-        x = y
-        while x != dropped:
-            k = parent_edge[x]
-            _, head = graph.edges[k]
-            P[k, column_of[y]] = 1.0 if head == x else -1.0
-            x = parent_vertex[x]
-
-    def unit_flow(v: int) -> np.ndarray:
-        return np.zeros(m) if v == dropped else P[:, column_of[v]]
-
-    cycles = np.zeros((len(nontree_edges), m))
-    for i, k in enumerate(nontree_edges):
-        tail, head = graph.edges[k]
-        cycles[i, k] = 1.0
-        cycles[i] += unit_flow(tail) - unit_flow(head)
-
     return SpanningTreeDecomposition(
         graph=graph,
         dropped_vertex=dropped,
         tree_edges=tree_edges,
-        nontree_edges=nontree_edges,
-        kept_vertices=kept,
-        right_inverse=_frozen(P),
-        cycle_basis=_frozen(cycles),
+        nontree_edges=tuple(k for k in range(graph.n_edges) if k not in in_tree),
+        kept_vertices=tuple(v for v in range(graph.n_vertices) if v != dropped),
     )
 
 

@@ -16,14 +16,23 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ValidationError
-from .graphs import DirectedGraph, _frozen, _read_json, outward_tree_structure
+from .graphs import (
+    DirectedGraph,
+    _frozen,
+    _read_json,
+    _subtree_sums,
+    outward_tree_structure,
+)
 
 NEG_TOL = 1e-12
 SUM_TOL = 1e-9
 
 
 def _clean_mass(values, size: int, what: str) -> np.ndarray:
-    arr = np.array(values, dtype=float).reshape(-1)
+    try:
+        arr = np.array(values, dtype=float).reshape(-1)
+    except OverflowError as exc:
+        raise ValidationError(f"{what} has an entry beyond the float range") from exc
     if arr.shape[0] != size:
         raise ValidationError(f"{what} has length {arr.shape[0]}, expected {size}")
     if size == 0:
@@ -136,8 +145,15 @@ class EdgePairPath:
         m = v.shape[1]
         if m and not np.all(np.isfinite(v)):
             raise ValidationError("velocity contains non-finite entries")
-        for i in range(steps):
-            g[i] = edge_distribution(g[i], m)
+        if m:
+            # edge_distribution's checks on all rows at once; row sums are
+            # taken in C order, where each is pairwise like a lone row's
+            bad = ~np.isfinite(g).all(axis=1) | (g.min(axis=1) < -NEG_TOL)
+            g[g < 0.0] = 0.0
+            bad |= np.abs(np.ascontiguousarray(g).sum(axis=1) - 1.0) > SUM_TOL
+            if bad.any():
+                # its message for the first failing row, as given
+                edge_distribution(np.asarray(self.g, dtype=float)[int(bad.argmax())], m)
         object.__setattr__(self, "knots", _frozen(knots))
         object.__setattr__(self, "v", _frozen(v))
         object.__setattr__(self, "g", _frozen(g))
@@ -220,20 +236,19 @@ def tails(tree: DirectedGraph, mass) -> np.ndarray:
 
     Entry x is the total mass on x and all its descendants, so the root
     entry equals the total mass. Linear in ``mass``, which is one vector
-    over the vertices or a stack of them, one row per knot; each row is
-    summed as if it came alone.
+    over the vertices or a stack of them, one row per knot; all rows go
+    through the tree's cached leaves-to-root sweep together, and each is
+    summed in the order of a one-vertex-at-a-time pass over the reversed
+    visiting order.
     """
-    _, order, parent_vertex, _ = outward_tree_structure(tree)
+    outward_tree_structure(tree)
     F = np.array(mass, dtype=float)
     if F.ndim > 2 or F.shape[-1:] != (tree.n_vertices,):
         raise ValidationError(
             f"mass has shape {F.shape}, expected ({tree.n_vertices},) "
             f"or (knots, {tree.n_vertices})"
         )
-    by_vertex = F.T
-    for x in reversed(order[1:]):
-        by_vertex[parent_vertex[x]] += by_vertex[x]
-    return F
+    return _subtree_sums(tree, F)
 
 
 def integrate_pair(
@@ -328,7 +343,7 @@ def triple_from_json(payload: dict, graph: DirectedGraph) -> Triple:
         f = np.array(payload["f"], dtype=float)
         v = np.array(payload["v"], dtype=float)
         g = np.array(payload["g"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"triple JSON is malformed: {exc}") from exc
     if f.shape != (steps + 1, n):
         raise ValidationError(f"'f' must be {steps + 1} rows of {n} reals")

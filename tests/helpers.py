@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from got.graphs import spanning_tree_decomposition
+from got.graphs import outward_tree_structure, spanning_tree_decomposition
 from got.measures import EdgePairPath
 
 
@@ -24,6 +24,16 @@ def row_reduction_rank(matrix, tol=1e-9):
                 a[r] -= a[r, col] * a[rank]
         rank += 1
     return rank
+
+
+def tails_reference(tree, mass):
+    """Tail masses by one vertex at a time over the reversed visiting order."""
+    _, order, parent_vertex, _ = outward_tree_structure(tree)
+    F = np.array(mass, dtype=float)
+    by_vertex = F.T
+    for x in reversed(order[1:]):
+        by_vertex[parent_vertex[x]] += by_vertex[x]
+    return F
 
 
 def random_epsilon(rng, decomp, scale=0.5):

@@ -118,7 +118,9 @@ def test_distance_validation_failures(cycle_files, capsys, tmp_path):
             ["distance", "--graph", g, "--from", textual, "--to", f1]
         ) == 1
         assert "distribution values must be numbers" in capsys.readouterr().err
-    capsys.readouterr()
+    huge = _write(tmp_path, "h.json", _dist([10**400, 0, 0, 0]))
+    assert cli.main(["distance", "--graph", g, "--from", huge, "--to", f1]) == 1
+    assert "beyond the float range" in capsys.readouterr().err
 
 
 def test_usage_errors_exit_one(capsys):
@@ -215,6 +217,12 @@ def test_verify_malformed_triple(tmp_path, capsys):
     })
     assert cli.main(["verify", "--graph", g, "--triple", boolean]) == 1
     assert "positive integer 'steps'" in capsys.readouterr().err
+    huge = _write(tmp_path, "h.json", {
+        "steps": 1, "f": [[1, 0, 0, 0], [0, 1, 0, 0]],
+        "v": [[10**400, 0, 0, 0]], "g": [[1, 0, 0, 0]],
+    })
+    assert cli.main(["verify", "--graph", g, "--triple", huge]) == 1
+    assert "triple JSON is malformed" in capsys.readouterr().err
 
 
 def test_unreadable_or_invalid_json_files_exit_one(cycle_files, tmp_path, capsys):

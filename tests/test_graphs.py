@@ -15,7 +15,10 @@ from got.graphs import (
     outward_tree_structure,
     shortest_path_metric,
     spanning_tree_decomposition,
+    tree_flow,
 )
+from got.dynamics import constant_speed_solution_graph
+from got.generators import random_distribution
 from helpers import row_reduction_rank
 
 SINGLE = DirectedGraph(("0", "1"), ((0, 1),))
@@ -214,6 +217,69 @@ def test_cached_tree_structure_is_shared_and_immutable():
     assert outward_tree_structure(STAR3) is structure
     assert structure == (0, (0, 1, 2, 3), (-1, 0, 0, 0), (-1, 0, 1, 2))
     assert all(isinstance(part, tuple) for part in structure[1:])
+    tail, head = CYCLE4._endpoints
+    assert CYCLE4._endpoints[0] is tail
+    assert tail.dtype == head.dtype == np.int64
+    assert tail.tolist() == [0, 1, 3, 0] and head.tolist() == [1, 2, 2, 3]
+    with pytest.raises(ValueError):
+        head[0] = 0
+    assert DirectedGraph(("a",), ())._endpoints[0].shape == (0,)
+
+
+def _check_tree_flow(graph, rng):
+    n = graph.n_vertices
+    decomp = spanning_tree_decomposition(graph)
+    kept = list(decomp.kept_vertices)
+    tail, head = np.array(graph.edges, dtype=np.int64).reshape(-1, 2).T
+    rows = [random_distribution(rng, n) - random_distribution(rng, n) for _ in range(4)]
+    for delta in (rows[0], np.stack(rows)):
+        flow = tree_flow(graph, delta)
+        assert flow.shape == delta.shape[:-1] + (graph.n_edges,)
+        dense = (decomp.right_inverse @ delta[..., kept].T).T
+        assert np.abs(flow - dense).max(initial=0.0) <= 1e-15
+        # net inflow at every vertex is delta
+        for row, out in zip(np.atleast_2d(delta), np.atleast_2d(flow)):
+            net = np.bincount(head, out, n) - np.bincount(tail, out, n)
+            assert np.abs(net - row).max() <= 1e-15
+        assert not flow[..., list(decomp.nontree_edges)].any()
+
+
+def test_tree_flow_is_the_right_inverse():
+    rng = np.random.default_rng(900)
+    graphs = [DirectedGraph(("a",), ())]
+    graphs += [DirectedGraph(SINGLE.labels, SINGLE.edges, root=root) for root in (0, 1)]
+    for _ in range(50):
+        n = int(rng.integers(3, 60))
+        shape = random_connected_graph(rng, n, int(rng.integers(0, n)))
+        graphs.append(DirectedGraph(shape.labels, shape.edges, root=int(rng.integers(1, n))))
+    for graph in graphs:
+        _check_tree_flow(graph, rng)
+    assert tree_flow(graphs[0], [0.0]).shape == (0,)
+    assert tree_flow(SINGLE, [-1.0, 1.0]) == pytest.approx([1.0])
+    assert tree_flow(graphs[2], [-1.0, 1.0]) == pytest.approx([1.0])
+    assert tree_flow(DirectedGraph(("0", "1"), ((1, 0),)), [-1.0, 1.0]) == pytest.approx(
+        [-1.0]
+    )
+    for bad in (np.zeros(3), np.zeros((2, 1, 2))):
+        with pytest.raises(ValidationError, match="delta has shape"):
+            tree_flow(SINGLE, bad)
+
+
+def test_dense_views_are_built_on_first_access_only():
+    rng = np.random.default_rng(902)
+    graph = random_connected_graph(rng, 30, 8)
+    decomp = spanning_tree_decomposition(graph)
+    constant_speed_solution_graph(
+        decomp, random_distribution(rng, 30), random_distribution(rng, 30)
+    )
+    assert "right_inverse" not in vars(decomp)
+    assert "cycle_basis" not in vars(decomp)
+    assert decomp.nullity == graph.n_edges - graph.n_vertices + 1
+    for name in ("right_inverse", "cycle_basis"):
+        view = getattr(decomp, name)
+        assert getattr(decomp, name) is view
+        with pytest.raises(ValueError):
+            view[0, 0] = 1.0
 
 
 @pytest.mark.parametrize("seed", range(6))

@@ -22,6 +22,7 @@ from got.measures import (
 )
 from got.transport import w1_beckmann
 from got.worked_examples import _binomial_pmf, binomial_example
+from helpers import tails_reference
 
 PATH3 = DirectedGraph(("0", "1", "2"), ((0, 1), (1, 2)), root=0)
 STAR3 = DirectedGraph(("0", "1", "2", "3"), ((0, 1), (0, 2), (0, 3)), root=0)
@@ -78,6 +79,23 @@ def test_tails_of_a_stack_match_each_row_bitwise(seed):
     for bad in (np.zeros(tree.n_vertices + 1), np.zeros((2, 1, tree.n_vertices))):
         with pytest.raises(ValidationError, match="mass has shape"):
             tails(tree, bad)
+
+
+def test_tails_match_the_one_vertex_loop_bitwise():
+    star = DirectedGraph(
+        tuple(str(i) for i in range(60)), tuple((0, i) for i in range(59, 0, -1)), root=0
+    )
+    path = DirectedGraph(
+        tuple(str(i) for i in range(400)), tuple((i, i + 1) for i in range(399)), root=0
+    )
+    rng = np.random.default_rng(510)
+    trees = [star, path] + [random_tree(rng, int(rng.integers(1, 300))) for _ in range(12)]
+    for tree in trees:
+        n = tree.n_vertices
+        for mass in (rng.random(n), rng.normal(size=(int(rng.integers(1, 20)), n))):
+            assert tails(tree, mass).tobytes() == tails_reference(tree, mass).tobytes()
+        fortran = np.asfortranarray(rng.normal(size=(5, n)))
+        assert tails(tree, fortran).tobytes() == tails_reference(tree, fortran).tobytes()
 
 
 def test_integrate_zero_pair_is_constant():
@@ -210,6 +228,22 @@ def test_grid_and_pair_validation():
         EdgePairPath([0.0, np.nan, 1.0], [[1.0]] * 2, [[1.0]] * 2)
     with pytest.raises(ValidationError, match="edge distribution"):
         EdgePairPath(TimeGrid(1).knots.copy(), [[1.0, 1.0]], [[0.9, 0.9]])
+    # the first failing row is reported, with the message for that row alone
+    knots = TimeGrid(4).knots.copy()
+    ok = [0.5, 0.5]
+    rows = [
+        ([ok, [0.7, 0.7], [-0.5, 1.5], ok], "edge distribution sums to 1.4, expected 1"),
+        ([ok, [-0.5, 1.5], [0.7, 0.7], ok],
+         "edge distribution has negative mass -5.000e-01 at index 0"),
+        ([ok, ok, ok, [np.inf, -np.inf]], "edge distribution contains non-finite entries"),
+        ([ok, [1.0, np.nan], [0.7, 0.7], ok], "edge distribution contains non-finite entries"),
+    ]
+    for g, message in rows:
+        with pytest.raises(ValidationError) as info:
+            EdgePairPath(knots, np.ones((4, 2)), g)
+        assert str(info.value) == message
+    cleaned = EdgePairPath(knots, np.ones((4, 2)), [[-1e-13, 1.0], ok, [1.0, -0.0], ok])
+    assert cleaned.g[0, 0] == 0.0 and np.signbit(cleaned.g[2, 1])
     with pytest.raises(ValidationError, match="grids"):
         Triple(
             convex_interpolation(np.ones(2) / 2, np.ones(2) / 2, TimeGrid(2)),
@@ -228,6 +262,8 @@ def test_distribution_json():
     for bad in ("0.25", True, None, [0.25]):
         with pytest.raises(ValidationError, match="values must be numbers"):
             distribution_from_json({"values": {"a": bad, "b": 0.75}}, labels)
+    with pytest.raises(ValidationError, match="beyond the float range"):
+        distribution_from_json({"values": {"a": 10**400, "b": 0}}, labels)
     assert distribution_from_json({"values": {"a": 0, "b": 1}}, labels) == pytest.approx(
         [0.0, 1.0]
     )
@@ -250,3 +286,5 @@ def test_triple_json_round_trip():
     for bad in (True, 1.0, "1", 0):
         with pytest.raises(ValidationError, match="positive integer 'steps'"):
             triple_from_json({"steps": bad, **one_step}, PATH3)
+    with pytest.raises(ValidationError, match="malformed"):
+        triple_from_json({**one_step, "steps": 1, "v": [[10**400, 2]]}, PATH3)

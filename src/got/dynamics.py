@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .graphs import DirectedGraph, SpanningTreeDecomposition, tree_flow
+from .graphs import DirectedGraph, SpanningTreeDecomposition, _net_inflow, tree_flow
 from .measures import (
     EdgePairPath,
     TimeGrid,
@@ -142,18 +142,14 @@ def constant_speed_solution_graph(
     if epsilon.shape[0] != m:
         raise ValidationError(f"cycle vector has length {epsilon.shape[0]}, "
                               f"expected {m}")
-    # net inflow per vertex from the edge list; the dense incidence matrix
-    # of a large graph would dominate the memory of this call
-    tail, head = graph._endpoints
-    net = np.bincount(head, epsilon, n) - np.bincount(tail, epsilon, n)
-    drift = float(np.abs(net).max())
+    if not np.all(np.isfinite(epsilon)):
+        raise ValidationError("cycle vector contains non-finite entries")
+    drift = float(np.abs(_net_inflow(graph, epsilon)).max())
     if drift > CIRCULATION_TOL:
         raise ValidationError(
             f"epsilon is not a circulation: incidence . epsilon reaches {drift:.3e}"
         )
-    target = tree_flow(graph, f1 - f0) + epsilon
-    v, g = _constant_speed_rows(target.reshape(1, -1))
-    return EdgePairPath(np.array([0.0, 1.0]), v, g)
+    return flow_to_constant_pair(tree_flow(graph, f1 - f0) + epsilon)
 
 
 def constant_speed_norm(

@@ -117,12 +117,6 @@ class DirectedGraph:
     def is_tree(self) -> bool:
         return self.n_edges == self.n_vertices - 1
 
-    def index_of(self, label: str) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise ValidationError(f"unknown vertex label {label!r}") from None
-
 
 _TreeStructure = tuple[int, tuple[int, ...], tuple[int, ...], tuple[int, ...]]
 _Traversal = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], tuple[int, ...]]
@@ -223,11 +217,21 @@ def tree_flow(graph: DirectedGraph, delta) -> np.ndarray:
 
 def build_incidence(graph: DirectedGraph) -> np.ndarray:
     """Incidence matrix: +1 at each edge's head, -1 at its tail."""
+    tail, head = graph._endpoints
     omega = np.zeros((graph.n_vertices, graph.n_edges))
-    for k, (tail, head) in enumerate(graph.edges):
-        omega[tail, k] = -1.0
-        omega[head, k] = 1.0
+    omega[tail, np.arange(graph.n_edges)] = -1.0
+    omega[head, np.arange(graph.n_edges)] = 1.0
     return omega
+
+
+def _net_inflow(graph: DirectedGraph, flow: np.ndarray) -> np.ndarray:
+    """Incidence . flow from the edge list: inflow minus outflow per vertex.
+
+    Takes one vector over the edges and never builds the dense matrix.
+    """
+    tail, head = graph._endpoints
+    n = graph.n_vertices
+    return np.bincount(head, flow, n) - np.bincount(tail, flow, n)
 
 
 def gradient(omega: np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -347,18 +351,15 @@ class SpanningTreeDecomposition:
 
     @cached_property
     def cycle_basis(self) -> np.ndarray:
-        graph, P = self.graph, self.right_inverse
-        m = graph.n_edges
-        column_of = {v: i for i, v in enumerate(self.kept_vertices)}
-
-        def unit_flow(v: int) -> np.ndarray:
-            return np.zeros(m) if v == self.dropped_vertex else P[:, column_of[v]]
-
-        cycles = np.zeros((len(self.nontree_edges), m))
-        for i, k in enumerate(self.nontree_edges):
-            tail, head = graph.edges[k]
-            cycles[i, k] = 1.0
-            cycles[i] += unit_flow(tail) - unit_flow(head)
+        dropped = self.dropped_vertex
+        extra = np.array(self.nontree_edges, dtype=np.int64)
+        ends = np.stack(self.graph._endpoints)[:, extra]
+        # P's column for vertex v is v, less one past the dropped vertex; no
+        # non-tree edge ends there, as the traversal starts at the dropped
+        # vertex and so takes each of its edges into the tree
+        flows = self.right_inverse.T[ends - (ends > dropped)]
+        cycles = flows[0] - flows[1]
+        cycles[np.arange(extra.size), extra] = 1.0
         return _frozen(cycles)
 
 

@@ -25,7 +25,49 @@ from .graphs import (
 )
 
 NEG_TOL = 1e-12
-SUM_TOL = 1e-9
+# Two accepted distributions differ in mass by at most 2 * SUM_TOL, which
+# must stay under the solvers' 1e-9 balance checks (the zero-sum test of a
+# difference vector and the simplex FEAS_TOL).
+SUM_TOL = 4e-10
+
+
+def _is_json_number(value) -> bool:
+    """A JSON number: a real, but not a bool, which Python counts as an int."""
+    # a float, what most JSON numbers parse to, skips the slow check against
+    # the abstract class
+    return type(value) is float or (
+        isinstance(value, numbers.Real) and not isinstance(value, bool)
+    )
+
+
+def _clean_rows(rows: np.ndarray, what: str) -> np.ndarray:
+    """Check and clean a C-contiguous (rows x size) float stack in place.
+
+    Every row must be finite, have no entry below -NEG_TOL and, with
+    negative round-off clipped to zero, sum to one within SUM_TOL. On
+    failure the message names the first failing row's first failed check.
+    """
+    if rows.shape[1] == 0:
+        return rows
+    finite = np.isfinite(rows).all(axis=1)
+    low_at = rows.argmin(axis=1)
+    low = rows[np.arange(rows.shape[0]), low_at]
+    rows[rows < 0.0] = 0.0
+    # summed along C-ordered rows, each total is pairwise like a lone row's;
+    # a total beyond the float range is inf and fails the check below
+    with np.errstate(over="ignore"):
+        totals = rows.sum(axis=1)
+    bad = ~finite | (low < -NEG_TOL) | (np.abs(totals - 1.0) > SUM_TOL)
+    if bad.any():
+        i = int(bad.argmax())
+        if not finite[i]:
+            raise ValidationError(f"{what} contains non-finite entries")
+        if low[i] < -NEG_TOL:
+            raise ValidationError(
+                f"{what} has negative mass {low[i]:.3e} at index {low_at[i]}"
+            )
+        raise ValidationError(f"{what} sums to {totals[i]:.12g}, expected 1")
+    return rows
 
 
 def _clean_mass(values, size: int, what: str) -> np.ndarray:
@@ -35,20 +77,7 @@ def _clean_mass(values, size: int, what: str) -> np.ndarray:
         raise ValidationError(f"{what} has an entry beyond the float range") from exc
     if arr.shape[0] != size:
         raise ValidationError(f"{what} has length {arr.shape[0]}, expected {size}")
-    if size == 0:
-        return arr
-    if not np.all(np.isfinite(arr)):
-        raise ValidationError(f"{what} contains non-finite entries")
-    low = float(arr.min())
-    if low < -NEG_TOL:
-        raise ValidationError(
-            f"{what} has negative mass {low:.3e} at index {int(arr.argmin())}"
-        )
-    arr[arr < 0.0] = 0.0
-    total = float(arr.sum())
-    if abs(total - 1.0) > SUM_TOL:
-        raise ValidationError(f"{what} sums to {total:.12g}, expected 1")
-    return arr
+    return _clean_rows(arr.reshape(1, -1), what)[0]
 
 
 def vertex_distribution(values, n_vertices: int) -> np.ndarray:
@@ -137,7 +166,7 @@ class EdgePairPath:
     def __post_init__(self):
         knots = _check_knots(self.knots)
         v = np.array(self.v, dtype=float)
-        g = np.array(self.g, dtype=float)
+        g = np.array(self.g, dtype=float, order="C")
         steps = knots.shape[0] - 1
         if v.ndim != 2 or g.ndim != 2 or v.shape != g.shape or v.shape[0] != steps:
             raise ValidationError("velocity/edge-distribution samples must be "
@@ -145,15 +174,7 @@ class EdgePairPath:
         m = v.shape[1]
         if m and not np.all(np.isfinite(v)):
             raise ValidationError("velocity contains non-finite entries")
-        if m:
-            # edge_distribution's checks on all rows at once; row sums are
-            # taken in C order, where each is pairwise like a lone row's
-            bad = ~np.isfinite(g).all(axis=1) | (g.min(axis=1) < -NEG_TOL)
-            g[g < 0.0] = 0.0
-            bad |= np.abs(np.ascontiguousarray(g).sum(axis=1) - 1.0) > SUM_TOL
-            if bad.any():
-                # its message for the first failing row, as given
-                edge_distribution(np.asarray(self.g, dtype=float)[int(bad.argmax())], m)
+        _clean_rows(g, "edge distribution")
         object.__setattr__(self, "knots", _frozen(knots))
         object.__setattr__(self, "v", _frozen(v))
         object.__setattr__(self, "g", _frozen(g))
@@ -193,8 +214,7 @@ class EdgePairPath:
 
 def zero_pair(n_edges: int, steps: int = 1) -> EdgePairPath:
     """Zero velocity with uniform edge mass: the stationary pair."""
-    v = np.zeros(n_edges)
-    g = np.full(n_edges, 1.0 / n_edges) if n_edges else np.zeros(0)
+    v, g = _constant_speed_rows(np.zeros((1, n_edges)))
     return EdgePairPath.constant(v, g, steps)
 
 
@@ -320,7 +340,7 @@ def distribution_from_json(payload: dict, labels: tuple[str, ...]) -> np.ndarray
                               + "; ".join(detail))
     for label in labels:
         value = values[label]
-        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        if not _is_json_number(value):
             raise ValidationError(
                 f"distribution values must be numbers: {label!r} has {value!r}"
             )
@@ -339,6 +359,15 @@ def triple_from_json(payload: dict, graph: DirectedGraph) -> Triple:
     if isinstance(steps, bool) or not isinstance(steps, int) or steps < 1:
         raise ValidationError("triple JSON needs a positive integer 'steps'")
     n, m = graph.n_vertices, graph.n_edges
+    for key in ("f", "v", "g"):
+        rows = payload.get(key)
+        for row in rows if isinstance(rows, list) else ():
+            for value in row if isinstance(row, list) else (row,):
+                if not _is_json_number(value):
+                    raise ValidationError(
+                        f"triple JSON is malformed: {key!r} holds {value!r}, "
+                        "not a number"
+                    )
     try:
         f = np.array(payload["f"], dtype=float)
         v = np.array(payload["v"], dtype=float)
@@ -350,8 +379,7 @@ def triple_from_json(payload: dict, graph: DirectedGraph) -> Triple:
     if v.shape != (steps, m) or g.shape != (steps, m):
         raise ValidationError(f"'v' and 'g' must be {steps} rows of {m} reals")
     grid = TimeGrid(steps)
-    for i in range(steps + 1):
-        f[i] = vertex_distribution(f[i], n)
+    _clean_rows(f, "vertex distribution")
     path = VertexPath(grid.knots.copy(), f)
     pair = EdgePairPath(grid.knots.copy(), v, g)
     return Triple(path, pair)

@@ -14,26 +14,31 @@ import numpy as np
 from .errors import SolverError, ValidationError
 from .graphs import (
     DirectedGraph,
+    _net_inflow,
     is_outward_tree,
     outward_tree_structure,
     shortest_path_metric,
+    tree_flow,
 )
-from .measures import EdgePairPath, _constant_speed_rows, tails, vertex_distribution
+from .measures import EdgePairPath, _constant_speed_rows, vertex_distribution
 from .simplex import LinearProgram, solve_lp
 
 PLAN_TOL = 1e-8
 BALANCE_TOL = 1e-8
+ZERO_SUM_TOL = 1e-9  # a difference vector's sum; see measures.SUM_TOL
 
 
 def w1_tree(
     tree: DirectedGraph, f0: np.ndarray, f1: np.ndarray
 ) -> float:
-    """W1 on a rooted tree with outward edges: sum of tail differences."""
+    """W1 on a rooted tree with outward edges: sum of tail differences.
+
+    The tail difference at each edge's head is the tree flow on that edge.
+    """
     outward_tree_structure(tree)
     f0 = vertex_distribution(f0, tree.n_vertices)
     f1 = vertex_distribution(f1, tree.n_vertices)
-    F0, F1 = tails(tree, np.stack([f0, f1]))
-    return float(np.abs(F1 - F0).sum())
+    return float(np.abs(tree_flow(tree, f1 - f0)).sum())
 
 
 def w1_kantorovich(
@@ -93,7 +98,7 @@ def beckmann_flow(graph: DirectedGraph, delta: np.ndarray) -> tuple[float, np.nd
     if delta.shape[0] != n:
         raise ValidationError(f"difference vector has length {delta.shape[0]}, "
                               f"expected {n}")
-    if abs(float(delta.sum())) > 1e-9:
+    if abs(float(delta.sum())) > ZERO_SUM_TOL:
         raise ValidationError("difference vector must sum to zero")
     omega = graph.incidence
     A = np.hstack([omega, -omega])
@@ -102,7 +107,7 @@ def beckmann_flow(graph: DirectedGraph, delta: np.ndarray) -> tuple[float, np.nd
     if solution.status != "optimal":
         raise SolverError(f"flow LP ended {solution.status} on a balanced difference")
     J = solution.x[:m] - solution.x[m:]
-    balance = float(np.abs(omega @ J - delta).max()) if n else 0.0
+    balance = float(np.abs(_net_inflow(graph, J) - delta).max())
     if balance > BALANCE_TOL:
         raise SolverError(f"flow violates its balance equation by {balance:.3e}")
     return solution.objective_value, J
@@ -127,7 +132,7 @@ def w1_difference(graph: DirectedGraph, delta: np.ndarray) -> float:
     itself would have no feasible marginals.
     """
     delta = np.asarray(delta, dtype=float).reshape(-1)
-    if abs(float(delta.sum())) > 1e-9:
+    if abs(float(delta.sum())) > ZERO_SUM_TOL:
         raise ValidationError("difference vector must sum to zero")
     gain = np.clip(delta, 0.0, None)
     loss = np.clip(-delta, 0.0, None)

@@ -83,20 +83,58 @@ def cycle_graph_4() -> DirectedGraph:
     )
 
 
-def _sampled_triple(graph, f_of_t, v_of_t, g_of_t, steps: int) -> Triple:
+def _sampled_example(
+    name: str,
+    graph: DirectedGraph,
+    f_of_t,
+    v_of_t,
+    g_of_t,
+    steps: int,
+    closed_form: float,
+    signed_endpoints: bool = False,
+) -> WorkedExample:
+    """The example whose triple samples f at the knots, v and g at midpoints."""
     grid = TimeGrid(steps)
     knots = grid.knots
     mids = 0.5 * (knots[:-1] + knots[1:])
     f = np.stack([f_of_t(t) for t in knots])
     v = np.stack([v_of_t(t) for t in mids])
     g = np.stack([g_of_t(t) for t in mids])
-    return Triple(
-        VertexPath(knots.copy(), f), EdgePairPath(knots.copy(), v, g)
+    triple = Triple(VertexPath(knots.copy(), f), EdgePairPath(knots.copy(), v, g))
+    return WorkedExample(
+        name, graph, f_of_t(0.0), f_of_t(1.0), triple, closed_form, signed_endpoints
     )
 
 
-def _binomial_pmf(n: int, p: float) -> np.ndarray:
-    ks = np.arange(n + 1)
+def _path_example(
+    name: str, pmf, size: int, a: float, b: float, speed: float, steps: int
+) -> WorkedExample:
+    """pmf(theta(t), size) on the path of ``size`` vertices, theta linear in t.
+
+    theta runs from a to b; the pair is v = speed with g = pmf(theta,
+    size - 1) on the edges, and the distance is |speed|.
+    """
+    graph = path_graph(size)
+
+    def theta(t: float) -> float:
+        return (1.0 - t) * a + t * b
+
+    def f_of_t(t: float) -> np.ndarray:
+        return pmf(theta(t), size)
+
+    def v_of_t(t: float) -> np.ndarray:
+        return np.full(size - 1, speed)
+
+    def g_of_t(t: float) -> np.ndarray:
+        return pmf(theta(t), size - 1)
+
+    return _sampled_example(name, graph, f_of_t, v_of_t, g_of_t, steps, abs(speed))
+
+
+def _binomial_pmf(p: float, size: int) -> np.ndarray:
+    """Bin(size - 1, p) on {0..size-1}."""
+    n = size - 1
+    ks = np.arange(size)
     out = np.array(
         [math.comb(n, int(k)) * p**k * (1.0 - p) ** (n - k) for k in ks]
     )
@@ -107,30 +145,7 @@ def binomial_example(
     steps: int = 100, n: int = 5, p0: float = 0.8, p1: float = 0.3
 ) -> WorkedExample:
     """Bin(n, p(t)) on the path of n+1 vertices; distance n |p1 - p0|."""
-    graph = path_graph(n + 1)
-    dp = p1 - p0
-
-    def p(t: float) -> float:
-        return (1.0 - t) * p0 + t * p1
-
-    def f_of_t(t: float) -> np.ndarray:
-        return _binomial_pmf(n, p(t))
-
-    def v_of_t(t: float) -> np.ndarray:
-        return np.full(n, n * dp)
-
-    def g_of_t(t: float) -> np.ndarray:
-        return _binomial_pmf(n - 1, p(t))
-
-    triple = _sampled_triple(graph, f_of_t, v_of_t, g_of_t, steps)
-    return WorkedExample(
-        name="binomial",
-        graph=graph,
-        f0=f_of_t(0.0),
-        f1=f_of_t(1.0),
-        triple=triple,
-        closed_form=n * abs(dp),
-    )
+    return _path_example("binomial", _binomial_pmf, n + 1, p0, p1, n * (p1 - p0), steps)
 
 
 def _poisson_pmf(rate: float, size: int) -> np.ndarray:
@@ -150,29 +165,8 @@ def poisson_example(
     """Poi(rate(t)) truncated to {0..N}; distance |rate0 - rate1|."""
     if truncation < 5:
         raise ValidationError("poisson truncation must be at least 5")
-    graph = path_graph(truncation + 1)
-    drate = rate1 - rate0
-
-    def rate(t: float) -> float:
-        return (1.0 - t) * rate0 + t * rate1
-
-    def f_of_t(t: float) -> np.ndarray:
-        return _poisson_pmf(rate(t), truncation + 1)
-
-    def v_of_t(t: float) -> np.ndarray:
-        return np.full(truncation, drate)
-
-    def g_of_t(t: float) -> np.ndarray:
-        return _poisson_pmf(rate(t), truncation)
-
-    triple = _sampled_triple(graph, f_of_t, v_of_t, g_of_t, steps)
-    return WorkedExample(
-        name="poisson",
-        graph=graph,
-        f0=f_of_t(0.0),
-        f1=f_of_t(1.0),
-        triple=triple,
-        closed_form=abs(drate),
+    return _path_example(
+        "poisson", _poisson_pmf, truncation + 1, rate0, rate1, rate1 - rate0, steps
     )
 
 
@@ -201,15 +195,8 @@ def star_example(steps: int = 100, a: float = -2.0, b: float = -3.0) -> WorkedEx
     def g_of_t(t: float) -> np.ndarray:
         return np.full(3, 1.0 / 3.0)
 
-    triple = _sampled_triple(graph, f_of_t, v_of_t, g_of_t, steps)
-    return WorkedExample(
-        name="star",
-        graph=graph,
-        f0=f_of_t(0.0),
-        f1=f_of_t(1.0),
-        triple=triple,
-        closed_form=abs(a),
-        signed_endpoints=True,
+    return _sampled_example(
+        "star", graph, f_of_t, v_of_t, g_of_t, steps, abs(a), signed_endpoints=True
     )
 
 
@@ -257,15 +244,7 @@ def square_example(
             return np.full(4, 0.25)
         return np.abs(flux_of_t(t)) / speed
 
-    triple = _sampled_triple(graph, f_of_t, v_of_t, g_of_t, steps)
-    return WorkedExample(
-        name="square",
-        graph=graph,
-        f0=f_of_t(0.0),
-        f1=f_of_t(1.0),
-        triple=triple,
-        closed_form=speed,
-    )
+    return _sampled_example("square", graph, f_of_t, v_of_t, g_of_t, steps, speed)
 
 
 def build_example(name: str, steps: int = 100, truncation: int = 30) -> WorkedExample:

@@ -26,6 +26,31 @@ def row_reduction_rank(matrix, tol=1e-9):
     return rank
 
 
+def incidence_reference(graph):
+    """Incidence matrix by one edge at a time: -1 at the tail, +1 at the head."""
+    omega = np.zeros((graph.n_vertices, graph.n_edges))
+    for k, (tail, head) in enumerate(graph.edges):
+        omega[tail, k] = -1.0
+        omega[head, k] = 1.0
+    return omega
+
+
+def cycle_basis_reference(decomp):
+    """Cycle basis by one non-tree edge at a time from the right inverse's columns."""
+    P, m = decomp.right_inverse, decomp.graph.n_edges
+    column_of = {v: i for i, v in enumerate(decomp.kept_vertices)}
+
+    def unit_flow(v):
+        return np.zeros(m) if v == decomp.dropped_vertex else P[:, column_of[v]]
+
+    cycles = np.zeros((decomp.nullity, m))
+    for i, k in enumerate(decomp.nontree_edges):
+        tail, head = decomp.graph.edges[k]
+        cycles[i, k] = 1.0
+        cycles[i] += unit_flow(tail) - unit_flow(head)
+    return cycles
+
+
 def tails_reference(tree, mass):
     """Tail masses by one vertex at a time over the reversed visiting order."""
     _, order, parent_vertex, _ = outward_tree_structure(tree)

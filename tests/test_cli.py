@@ -223,6 +223,54 @@ def test_verify_malformed_triple(tmp_path, capsys):
     })
     assert cli.main(["verify", "--graph", g, "--triple", huge]) == 1
     assert "triple JSON is malformed" in capsys.readouterr().err
+    valid = {
+        "steps": 1, "f": [[1, 0, 0, 0], [0, 1, 0, 0]],
+        "v": [[1, 0, 0, 0]], "g": [[1, 0, 0, 0]],
+    }
+    for key in ("f", "v", "g"):
+        for bad in ("1", True, None):
+            rows = [list(row) for row in valid[key]]
+            rows[0][0] = bad
+            t = _write(tmp_path, "n.json", {**valid, key: rows})
+            assert cli.main(["verify", "--graph", g, "--triple", t]) == 1
+            assert f"triple JSON is malformed: '{key}' holds" in capsys.readouterr().err
+
+
+PATH_JSON = {
+    "vertices": ["0", "1", "2"],
+    "edges": [{"tail": "0", "head": "1"}, {"tail": "1", "head": "2"}],
+    "root": "0",
+}
+
+
+def test_mass_tolerance_keeps_the_solvers_feasible(tmp_path, capsys):
+    # two masses each off by just under SUM_TOL still balance within the
+    # solvers' 1e-9: every method answers, none ends in a solver failure
+    g = _write(tmp_path, "g.json", PATH_JSON)
+    methods = ("tree", "beckmann", "kantorovich", "benamou", "auto")
+    for off, accepted in ((3.99e-10, True), (6e-10, False)):
+        f0 = _write(tmp_path, "f0.json", _dist([1.0 + off, 0.0, 0.0]))
+        f1 = _write(tmp_path, "f1.json", _dist([0.0, 0.0, 1.0 - off]))
+        values = []
+        for method in methods:
+            code = cli.main(
+                ["distance", "--graph", g, "--from", f0, "--to", f1, "--method", method]
+            )
+            captured = capsys.readouterr()
+            if accepted:
+                assert code == 0, captured.err
+                values.append(float(captured.out.splitlines()[-1].split(": ")[1]))
+            else:
+                assert code == 1 and "sums to" in captured.err
+        if accepted:
+            assert max(values) - min(values) <= 1e-8
+            assert values[0] == pytest.approx(2.0, abs=1e-8)
+        code = cli.main(
+            ["geodesic", "--graph", g, "--from", f0, "--to", f1, "--steps", "3",
+             "--mode", "beckmann-flow", "--out", str(tmp_path / "geo.csv")]
+        )
+        assert code == (0 if accepted else 1)
+        capsys.readouterr()
 
 
 def test_unreadable_or_invalid_json_files_exit_one(cycle_files, tmp_path, capsys):

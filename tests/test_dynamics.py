@@ -228,6 +228,12 @@ def test_constant_speed_graph_rejects_non_circulation():
         constant_speed_solution_graph(
             decomp, F0_CYCLE, F1_CYCLE, np.array([1.0, 0.0, 0.0, 0.0])
         )
+    # nan > CIRCULATION_TOL is False: non-finite entries get their own message
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValidationError, match="cycle vector contains non-finite"):
+            constant_speed_solution_graph(
+                decomp, F0_CYCLE, F1_CYCLE, np.array([bad, 0.0, 0.0, 0.0])
+            )
 
 
 def test_reduced_constraint_examples():

@@ -5,6 +5,7 @@ from got.errors import ValidationError
 from got.generators import random_connected_graph, random_tree
 from got.graphs import (
     DirectedGraph,
+    _net_inflow,
     build_incidence,
     divergence,
     gradient,
@@ -19,7 +20,7 @@ from got.graphs import (
 )
 from got.dynamics import constant_speed_solution_graph
 from got.generators import random_distribution
-from helpers import row_reduction_rank
+from helpers import cycle_basis_reference, incidence_reference, row_reduction_rank
 
 SINGLE = DirectedGraph(("0", "1"), ((0, 1),))
 PATH3 = DirectedGraph(("0", "1", "2"), ((0, 1), (1, 2)), root=0)
@@ -41,6 +42,33 @@ def test_incidence_star_center_row():
     omega = build_incidence(STAR3)
     assert np.array_equal(omega[0], [-1, -1, -1])
     assert np.array_equal(omega.sum(axis=0), np.zeros(3))
+
+
+def test_incidence_matches_edge_loop():
+    rng = np.random.default_rng(910)
+    graphs = [DirectedGraph(("a",), ()), SINGLE, PATH3, STAR3, CYCLE4]
+    for _ in range(20):
+        n = int(rng.integers(2, 40))
+        graphs.append(random_connected_graph(rng, n, int(rng.integers(0, n))))
+    for graph in graphs:
+        omega = build_incidence(graph)
+        reference = incidence_reference(graph)
+        assert omega.shape == reference.shape and omega.flags.c_contiguous
+        assert omega.tobytes() == reference.tobytes()
+
+
+@pytest.mark.parametrize("seed", range(50))
+def test_net_inflow_is_the_incidence_product(seed):
+    rng = np.random.default_rng(1100 + seed)
+    n = int(rng.integers(1, 40))
+    graph = random_connected_graph(rng, n, int(rng.integers(0, n + 1)))
+    omega = build_incidence(graph)
+    # a flow moving at most one unit of mass, the scale of every solve path
+    flow = rng.random(graph.n_edges) - 0.5
+    flow /= max(1.0, np.abs(flow).sum())
+    assert np.abs(_net_inflow(graph, flow) - omega @ flow).max() <= 1e-15
+    whole = rng.integers(-9, 10, size=graph.n_edges).astype(float)
+    assert np.array_equal(_net_inflow(graph, whole), omega @ whole)
 
 
 def test_graph_validation():
@@ -140,6 +168,18 @@ def test_decomposition_four_cycle():
     eps = decomp.cycle_basis[0]
     assert set(np.abs(eps)) == {1.0}
     assert np.abs(build_incidence(CYCLE4) @ eps).max() == 0.0
+
+
+def test_cycle_basis_matches_edge_loop():
+    rng = np.random.default_rng(920)
+    for _ in range(40):
+        n = int(rng.integers(1, 30))
+        shape = random_connected_graph(rng, n, int(rng.integers(0, 2 * n + 1)))
+        graph = DirectedGraph(shape.labels, shape.edges, root=int(rng.integers(0, n)))
+        decomp = spanning_tree_decomposition(graph)
+        reference = cycle_basis_reference(decomp)
+        assert decomp.cycle_basis.shape == reference.shape
+        assert decomp.cycle_basis.tobytes() == reference.tobytes()
 
 
 @pytest.mark.parametrize("seed", range(50))

@@ -167,7 +167,7 @@ def test_differentiate_binomial_first_order():
         dp = p1 - p0
         worst = 0.0
         for i, t in enumerate(example.triple.path.knots[:-1]):
-            inner = n * dp * _binomial_pmf(n - 1, (1 - t) * p0 + t * p1)
+            inner = n * dp * _binomial_pmf((1 - t) * p0 + t * p1, n)
             analytic = np.zeros(n + 1)
             analytic[:-1] -= inner
             analytic[1:] += inner
@@ -288,3 +288,46 @@ def test_triple_json_round_trip():
             triple_from_json({"steps": bad, **one_step}, PATH3)
     with pytest.raises(ValidationError, match="malformed"):
         triple_from_json({**one_step, "steps": 1, "v": [[10**400, 2]]}, PATH3)
+    # JSON numbers only: a string, a boolean or null is no real
+    for key in ("f", "v", "g"):
+        for bad in ("1", True, None):
+            rows = [list(row) for row in one_step[key]]
+            rows[-1][-1] = bad
+            message = f"triple JSON is malformed: '{key}' holds"
+            with pytest.raises(ValidationError, match=message):
+                triple_from_json({**one_step, "steps": 1, key: rows}, PATH3)
+
+
+def test_triple_json_reports_first_failing_vertex_row():
+    ok = [0.5, 0.0, 0.5]
+    rows = [
+        ([ok, [0.7, 0.0, 0.7], [-0.5, 0.0, 1.5], ok],
+         "vertex distribution sums to 1.4, expected 1"),
+        ([ok, [-0.5, 0.0, 1.5], [0.7, 0.0, 0.7], ok],
+         "vertex distribution has negative mass -5.000e-01 at index 0"),
+        ([ok, ok, ok, [1e308, 1e308, -1e308]],
+         "vertex distribution has negative mass -1.000e+308 at index 2"),
+        ([ok, ok, [1e308, 1e308, 0.0], ok],
+         "vertex distribution sums to inf, expected 1"),
+    ]
+    pair = {"v": [[1.0, 1.0]] * 3, "g": [[0.5, 0.5]] * 3}
+    for f, message in rows:
+        with pytest.raises(ValidationError) as info:
+            triple_from_json({"steps": 3, "f": f, **pair}, PATH3)
+        assert str(info.value) == message
+    cleaned = triple_from_json(
+        {"steps": 3, "f": [[-1e-13, 0.0, 1.0], ok, [1.0, -0.0, 0.0], ok], **pair}, PATH3
+    )
+    assert cleaned.path.samples[0, 0] == 0.0 and np.signbit(cleaned.path.samples[2, 1])
+
+
+@pytest.mark.parametrize("m", [0, 1, 5])
+def test_zero_pair_is_zero_velocity_uniform_mass(m):
+    for steps in (1, 3):
+        pair = zero_pair(m, steps)
+        # the stationary pair as spelled out directly
+        g = np.full(m, 1.0 / m) if m else np.zeros(0)
+        expected = EdgePairPath.constant(np.zeros(m), g, steps)
+        for name in ("knots", "v", "g"):
+            actual, want = getattr(pair, name), getattr(expected, name)
+            assert actual.shape == want.shape and actual.tobytes() == want.tobytes()

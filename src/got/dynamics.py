@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, _floats
 from .graphs import DirectedGraph, SpanningTreeDecomposition, _net_inflow, tree_flow
 from .measures import (
     EdgePairPath,
@@ -81,9 +81,12 @@ def transport_residual(triple: Triple, omega: np.ndarray) -> ResidualReport:
 def energy(pair: EdgePairPath, q: float) -> EnergyReport:
     """Time integral of sum_k g_k |v_k|^q, to the power 1/q."""
     q = _check_exponent(q)
-    powered = (pair.g * np.abs(pair.v) ** q).sum(axis=1)
-    value = float(pair.durations @ powered) ** (1.0 / q)
-    return EnergyReport(q, value, powered ** (1.0 / q))
+    speed = np.abs(pair.v)
+    # powers of |v| / max|v| lie in [0, 1]: no overflow for large |v| or q
+    top = float(speed.max()) if speed.any() else 1.0
+    powered = (pair.g * (speed / top) ** q).sum(axis=1)
+    value = top * float(pair.durations @ powered) ** (1.0 / q)
+    return EnergyReport(q, value, top * powered ** (1.0 / q))
 
 
 def _tail_flux(tree: DirectedGraph, path: VertexPath) -> np.ndarray:
@@ -136,14 +139,7 @@ def constant_speed_solution_graph(
     n, m = graph.n_vertices, graph.n_edges
     f0 = vertex_distribution(f0, n)
     f1 = vertex_distribution(f1, n)
-    if epsilon is None:
-        epsilon = np.zeros(m)
-    epsilon = np.asarray(epsilon, dtype=float).reshape(-1)
-    if epsilon.shape[0] != m:
-        raise ValidationError(f"cycle vector has length {epsilon.shape[0]}, "
-                              f"expected {m}")
-    if not np.all(np.isfinite(epsilon)):
-        raise ValidationError("cycle vector contains non-finite entries")
+    epsilon = _floats(np.zeros(m) if epsilon is None else epsilon, m, "cycle vector")
     drift = float(np.abs(_net_inflow(graph, epsilon)).max())
     if drift > CIRCULATION_TOL:
         raise ValidationError(
@@ -167,10 +163,11 @@ def reduced_constraint_check(
     pair: EdgePairPath, omega: np.ndarray, f0: np.ndarray, f1: np.ndarray
 ) -> float:
     """Max-norm gap of incidence . (integral of v*g) against f1 - f0."""
-    f0 = np.asarray(f0, dtype=float).reshape(-1)
-    f1 = np.asarray(f1, dtype=float).reshape(-1)
-    if pair.n_edges != omega.shape[1] or f0.shape[0] != omega.shape[0]:
-        raise ValidationError("pair, endpoints, and incidence disagree")
+    n, m = omega.shape
+    f0 = _floats(f0, n, "f0")
+    f1 = _floats(f1, n, "f1")
+    if pair.n_edges != m:
+        raise ValidationError(f"pair has {pair.n_edges} edges, expected {m}")
     gap = omega @ pair.time_integral() - (f1 - f0)
     return float(np.abs(gap).max()) if gap.size else 0.0
 

@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, _floats
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:
@@ -199,12 +199,7 @@ def tree_flow(graph: DirectedGraph, delta) -> np.ndarray:
     vertex is ``delta``. Takes one vector over the vertices or a stack of
     them, one row each, in O(|V|) per row.
     """
-    n = graph.n_vertices
-    D = np.array(delta, dtype=float)
-    if D.ndim > 2 or D.shape[-1:] != (n,):
-        raise ValidationError(
-            f"delta has shape {D.shape}, expected ({n},) or (rows, {n})"
-        )
+    D = _floats(delta, graph.n_vertices, "delta", rows=True)
     sums = _subtree_sums(graph, D)
     order, _, parent_edge, _ = graph._traversal
     kids = np.array(order[1:], dtype=np.int64)
@@ -236,21 +231,13 @@ def _net_inflow(graph: DirectedGraph, flow: np.ndarray) -> np.ndarray:
 
 def gradient(omega: np.ndarray, f: np.ndarray) -> np.ndarray:
     """Drop of the vertex function f along each edge: tail value minus head."""
-    f = np.asarray(f, dtype=float)
-    if f.shape != (omega.shape[0],):
-        raise ValidationError(
-            f"vertex function has length {f.shape}, expected {omega.shape[0]}"
-        )
+    f = _floats(f, omega.shape[0], "vertex function")
     return -(omega.T @ f)
 
 
 def divergence(omega: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Net outflow of the edge function g at each vertex (sums to zero)."""
-    g = np.asarray(g, dtype=float)
-    if g.shape != (omega.shape[1],):
-        raise ValidationError(
-            f"edge function has length {g.shape}, expected {omega.shape[1]}"
-        )
+    g = _floats(g, omega.shape[1], "edge function")
     return -(omega @ g)
 
 

@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, _floats
 from .graphs import (
     DirectedGraph,
     _frozen,
@@ -71,13 +71,7 @@ def _clean_rows(rows: np.ndarray, what: str) -> np.ndarray:
 
 
 def _clean_mass(values, size: int, what: str) -> np.ndarray:
-    try:
-        arr = np.array(values, dtype=float).reshape(-1)
-    except OverflowError as exc:
-        raise ValidationError(f"{what} has an entry beyond the float range") from exc
-    if arr.shape[0] != size:
-        raise ValidationError(f"{what} has length {arr.shape[0]}, expected {size}")
-    return _clean_rows(arr.reshape(1, -1), what)[0]
+    return _clean_rows(_floats(values, size, what)[None], what)[0]
 
 
 def vertex_distribution(values, n_vertices: int) -> np.ndarray:
@@ -262,13 +256,7 @@ def tails(tree: DirectedGraph, mass) -> np.ndarray:
     visiting order.
     """
     outward_tree_structure(tree)
-    F = np.array(mass, dtype=float)
-    if F.ndim > 2 or F.shape[-1:] != (tree.n_vertices,):
-        raise ValidationError(
-            f"mass has shape {F.shape}, expected ({tree.n_vertices},) "
-            f"or (knots, {tree.n_vertices})"
-        )
-    return _subtree_sums(tree, F)
+    return _subtree_sums(tree, _floats(mass, tree.n_vertices, "mass", rows=True))
 
 
 def integrate_pair(
@@ -280,10 +268,10 @@ def integrate_pair(
     first j intervals, an exact telescoping sum. The result is flagged at
     the first (knot, vertex) where mass drops below -1e-9.
     """
-    f0 = np.asarray(f0, dtype=float).reshape(-1)
     n, m = omega.shape
-    if f0.shape[0] != n or pair.n_edges != m:
-        raise ValidationError("pair, start distribution, and incidence disagree")
+    f0 = _floats(f0, n, "f0")
+    if pair.n_edges != m:
+        raise ValidationError(f"pair has {pair.n_edges} edges, expected {m}")
     increments = (pair.flux() @ omega.T) * pair.durations[:, None]
     samples = np.empty((pair.steps + 1, n))
     samples[0] = f0
@@ -304,20 +292,16 @@ def convex_interpolation(
     f0: np.ndarray, f1: np.ndarray, grid: TimeGrid
 ) -> VertexPath:
     """Straight-line path (1-t) f0 + t f1 sampled on the grid."""
-    f0 = np.asarray(f0, dtype=float).reshape(-1)
-    f1 = np.asarray(f1, dtype=float).reshape(-1)
-    if f0.shape != f1.shape:
-        raise ValidationError("endpoint distributions differ in length")
+    f0 = _floats(f0, None, "f0")
+    f1 = _floats(f1, f0.shape[0], "f1")
     t = grid.knots[:, None]
     return VertexPath(grid.knots.copy(), (1.0 - t) * f0 + t * f1)
 
 
 def tv_distance(f0: np.ndarray, f1: np.ndarray) -> float:
     """Total variation distance, half the l1 distance."""
-    f0 = np.asarray(f0, dtype=float).reshape(-1)
-    f1 = np.asarray(f1, dtype=float).reshape(-1)
-    if f0.shape != f1.shape:
-        raise ValidationError("distributions differ in length")
+    f0 = _floats(f0, None, "f0")
+    f1 = _floats(f1, f0.shape[0], "f1")
     return 0.5 * float(np.abs(f0 - f1).sum())
 
 

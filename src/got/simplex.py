@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .errors import SolverError, ValidationError
+from .errors import SolverError, ValidationError, _floats
 
 PIVOT_TOL = 1e-10
 OPT_TOL = 1e-9
@@ -30,21 +30,14 @@ class LinearProgram:
     eq_rhs: np.ndarray
 
     def __post_init__(self):
-        c = np.array(self.objective, dtype=float).reshape(-1)
         A = np.array(self.eq_matrix, dtype=float)
-        b = np.array(self.eq_rhs, dtype=float).reshape(-1)
         if A.ndim != 2:
             raise ValidationError("constraint matrix must be two-dimensional")
+        if not np.isfinite(A).all():
+            raise ValidationError("matrix contains non-finite entries")
         m, n = A.shape
-        if c.shape[0] != n:
-            raise ValidationError(
-                f"objective has {c.shape[0]} entries for {n} variables"
-            )
-        if b.shape[0] != m:
-            raise ValidationError(f"rhs has {b.shape[0]} entries for {m} rows")
-        for name, arr in (("objective", c), ("matrix", A), ("rhs", b)):
-            if arr.size and not np.all(np.isfinite(arr)):
-                raise ValidationError(f"{name} contains non-finite entries")
+        c = _floats(self.objective, n, "objective")
+        b = _floats(self.eq_rhs, m, "rhs")
         object.__setattr__(self, "objective", c)
         object.__setattr__(self, "eq_matrix", A)
         object.__setattr__(self, "eq_rhs", b)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import SolverError, ValidationError
+from .errors import SolverError, ValidationError, _floats
 from .graphs import (
     DirectedGraph,
     _net_inflow,
@@ -86,6 +86,14 @@ def check_transport_plan(
         )
 
 
+def _difference(graph: DirectedGraph, delta) -> np.ndarray:
+    """Read a signed vector over the vertices whose entries balance."""
+    delta = _floats(delta, graph.n_vertices, "difference vector")
+    if abs(float(delta.sum())) > ZERO_SUM_TOL:
+        raise ValidationError("difference vector must sum to zero")
+    return delta
+
+
 def beckmann_flow(graph: DirectedGraph, delta: np.ndarray) -> tuple[float, np.ndarray]:
     """Minimal total flow balancing a signed vertex difference.
 
@@ -93,13 +101,8 @@ def beckmann_flow(graph: DirectedGraph, delta: np.ndarray) -> tuple[float, np.nd
     by splitting J into positive and negative parts. ``delta`` must sum
     to zero; it is usually f1 - f0 but any balanced signed vector works.
     """
-    delta = np.asarray(delta, dtype=float).reshape(-1)
-    n, m = graph.n_vertices, graph.n_edges
-    if delta.shape[0] != n:
-        raise ValidationError(f"difference vector has length {delta.shape[0]}, "
-                              f"expected {n}")
-    if abs(float(delta.sum())) > ZERO_SUM_TOL:
-        raise ValidationError("difference vector must sum to zero")
+    delta = _difference(graph, delta)
+    m = graph.n_edges
     omega = graph.incidence
     A = np.hstack([omega, -omega])
     lp = LinearProgram(np.ones(2 * m), A, delta)
@@ -131,9 +134,7 @@ def w1_difference(graph: DirectedGraph, delta: np.ndarray) -> float:
     and stays well defined for signed vectors where the coupling LP
     itself would have no feasible marginals.
     """
-    delta = np.asarray(delta, dtype=float).reshape(-1)
-    if abs(float(delta.sum())) > ZERO_SUM_TOL:
-        raise ValidationError("difference vector must sum to zero")
+    delta = _difference(graph, delta)
     gain = np.clip(delta, 0.0, None)
     loss = np.clip(-delta, 0.0, None)
     moved = float(gain.sum())
@@ -151,8 +152,7 @@ def flow_to_constant_pair(J: np.ndarray, steps: int = 1) -> EdgePairPath:
     on every interval. A zero flow yields the stationary pair with
     uniform edge mass.
     """
-    J = np.asarray(J, dtype=float).reshape(1, -1)
-    v, g = _constant_speed_rows(J)
+    v, g = _constant_speed_rows(_floats(J, None, "flow")[None])
     return EdgePairPath.constant(v, g, steps)
 
 

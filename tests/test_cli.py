@@ -378,3 +378,24 @@ def test_console_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert "distance: 0.8" in proc.stdout
+
+
+def test_energy_of_large_and_tiny_speeds(tmp_path, capsys):
+    g = _write(tmp_path, "g.json", PATH_JSON)
+    f0 = _write(tmp_path, "f0.json", _dist([1.0, 0.0, 0.0]))
+    f1 = _write(tmp_path, "f1.json", _dist([0.0, 0.0, 1.0]))
+    for q in ("1100", "1e308"):
+        code = cli.main(["distance", "--graph", g, "--from", f0, "--to", f1,
+                         "--method", "benamou", "--q", q])
+        captured = capsys.readouterr()
+        assert code == 0 and captured.err == ""
+        assert "speed: 2.0\n" in captured.out and "distance: 2.0\n" in captured.out
+    for speed, printed in ((1e200, "1e+200"), (1e-120, "1e-120"), (0, "0.0")):
+        t = _write(tmp_path, "t.json", {
+            "steps": 1, "f": [[1, 0, 0], [1, 0, 0]],
+            "v": [[speed, speed]], "g": [[0.5, 0.5]],
+        })
+        cli.main(["verify", "--graph", g, "--triple", t, "--q", "3"])
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert f"I_q: {printed} (q=3.0)" in captured.out

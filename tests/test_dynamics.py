@@ -89,6 +89,16 @@ def test_energy_examples():
     assert energy(example.triple.pair, 2.0).value == pytest.approx(2.5, abs=1e-9)
 
 
+@pytest.mark.parametrize("speed", [1e200, 1e-120, 2.0, 0.0])
+@pytest.mark.parametrize("q", [1.0, 3.0, 1100.0, 1e308])
+def test_energy_neither_overflows_nor_underflows(speed, q):
+    # a constant pair of speed |v| has energy |v| for every q
+    pair = EdgePairPath.constant([speed, -speed], [0.25, 0.75], steps=2)
+    report = energy(pair, q)
+    assert report.value == pytest.approx(speed, rel=1e-15)
+    assert report.per_knot_speed == pytest.approx([speed, speed], rel=1e-15)
+
+
 def test_tail_pde_examples():
     path3 = path_graph(3)
     f0 = np.array([1.0, 0.0, 0.0])

@@ -11,27 +11,32 @@ class SolverError(RuntimeError):
     """The LP solver could not certify a result."""
 
 
-def _floats(values, size: int | None, what: str, rows: bool = False) -> np.ndarray:
-    """Read an outside vector as a fresh float array of shape (size,).
+def _floats(
+    values, shape: tuple | int | None, what: str, rows: bool = False
+) -> np.ndarray:
+    """Read an outside array as a fresh C-ordered float array of ``shape``.
 
-    ``size`` None takes the entry count, so a vector of any length passes.
-    With ``rows`` a (k, size) stack of such vectors is accepted too. Every
-    entry must be a finite number; on failure the ValidationError names
-    ``what``.
+    ``shape`` is a tuple whose None entries match any length; an int or None
+    stands for a vector of that length, None taking the entry count, so a
+    vector of any length passes. With ``rows`` a (k, size) stack of such
+    vectors is accepted too. Every entry must be a finite number; on
+    failure the ValidationError names ``what``.
     """
     try:
-        array = np.array(values, dtype=float)
+        array = np.array(values, dtype=float, order="C")
     except OverflowError as exc:
         raise ValidationError(f"{what} has an entry beyond the float range") from exc
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"{what} is not an array of numbers") from exc
-    if size is None:
-        size = array.size
-    if array.shape != (size,) and not (rows and array.shape[1:] == (size,)):
-        stack = f" or (rows, {size})" if rows else ""
-        raise ValidationError(
-            f"{what} has shape {array.shape}, expected length {size}{stack}"
-        )
+    if not isinstance(shape, tuple):
+        shape = (array.size if shape is None else shape,)
+    dims = array.shape[1:] if rows and array.ndim == len(shape) + 1 else array.shape
+    if len(dims) != len(shape) or any(w not in (None, n) for n, w in zip(dims, shape)):
+        expected = f"length {shape[0]}" if len(shape) == 1 else str(shape)
+        if rows:
+            expected += f" or (rows, {shape[0]})"
+        expected = expected.replace("None", "any")
+        raise ValidationError(f"{what} has shape {array.shape}, expected {expected}")
     if not np.isfinite(array).all():
         raise ValidationError(f"{what} contains non-finite entries")
     return array

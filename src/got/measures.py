@@ -41,15 +41,15 @@ def _is_json_number(value) -> bool:
 
 
 def _clean_rows(rows: np.ndarray, what: str) -> np.ndarray:
-    """Check and clean a C-contiguous (rows x size) float stack in place.
+    """Check and clean in place a (rows x size) stack read by _floats.
 
-    Every row must be finite, have no entry below -NEG_TOL and, with
-    negative round-off clipped to zero, sum to one within SUM_TOL. On
-    failure the message names the first failing row's first failed check.
+    Every row must have no entry below -NEG_TOL and, with negative
+    round-off clipped to zero, sum to one within SUM_TOL. On failure the
+    message names the first failing row's first failed check. The reader
+    has already made the stack C-ordered and every entry finite.
     """
     if rows.shape[1] == 0:
         return rows
-    finite = np.isfinite(rows).all(axis=1)
     low_at = rows.argmin(axis=1)
     low = rows[np.arange(rows.shape[0]), low_at]
     rows[rows < 0.0] = 0.0
@@ -57,11 +57,9 @@ def _clean_rows(rows: np.ndarray, what: str) -> np.ndarray:
     # a total beyond the float range is inf and fails the check below
     with np.errstate(over="ignore"):
         totals = rows.sum(axis=1)
-    bad = ~finite | (low < -NEG_TOL) | (np.abs(totals - 1.0) > SUM_TOL)
+    bad = (low < -NEG_TOL) | (np.abs(totals - 1.0) > SUM_TOL)
     if bad.any():
         i = int(bad.argmax())
-        if not finite[i]:
-            raise ValidationError(f"{what} contains non-finite entries")
         if low[i] < -NEG_TOL:
             raise ValidationError(
                 f"{what} has negative mass {low[i]:.3e} at index {low_at[i]}"
@@ -104,9 +102,7 @@ class TimeGrid:
 
 
 def _check_knots(knots: np.ndarray) -> np.ndarray:
-    knots = np.array(knots, dtype=float).reshape(-1)
-    if not np.all(np.isfinite(knots)):
-        raise ValidationError("knots must be finite")
+    knots = _floats(knots, None, "knots")
     if knots.shape[0] < 2:
         raise ValidationError("a path needs at least two knots")
     if abs(knots[0]) > 1e-12 or abs(knots[-1] - 1.0) > 1e-12:
@@ -132,11 +128,7 @@ class VertexPath:
 
     def __post_init__(self):
         knots = _check_knots(self.knots)
-        samples = np.array(self.samples, dtype=float)
-        if samples.ndim != 2 or samples.shape[0] != knots.shape[0]:
-            raise ValidationError("need one vertex sample per knot")
-        if not np.all(np.isfinite(samples)):
-            raise ValidationError("vertex samples contain non-finite entries")
+        samples = _floats(self.samples, (knots.shape[0], None), "vertex samples")
         object.__setattr__(self, "knots", _frozen(knots))
         object.__setattr__(self, "samples", _frozen(samples))
 
@@ -159,15 +151,8 @@ class EdgePairPath:
 
     def __post_init__(self):
         knots = _check_knots(self.knots)
-        v = np.array(self.v, dtype=float)
-        g = np.array(self.g, dtype=float, order="C")
-        steps = knots.shape[0] - 1
-        if v.ndim != 2 or g.ndim != 2 or v.shape != g.shape or v.shape[0] != steps:
-            raise ValidationError("velocity/edge-distribution samples must be "
-                                  "(steps, n_edges) arrays on the same grid")
-        m = v.shape[1]
-        if m and not np.all(np.isfinite(v)):
-            raise ValidationError("velocity contains non-finite entries")
+        v = _floats(self.v, (knots.shape[0] - 1, None), "velocity")
+        g = _floats(self.g, v.shape, "edge distribution")
         _clean_rows(g, "edge distribution")
         object.__setattr__(self, "knots", _frozen(knots))
         object.__setattr__(self, "v", _frozen(v))
@@ -197,19 +182,17 @@ class EdgePairPath:
     def constant(v, g, steps: int = 1) -> "EdgePairPath":
         """Tile a single (v, g) sample over a uniform grid."""
         grid = TimeGrid(steps)
-        v = np.asarray(v, dtype=float).reshape(1, -1)
-        g = np.asarray(g, dtype=float).reshape(1, -1)
+        v = _floats(v, None, "velocity")
+        g = _floats(g, v.shape, "edge distribution")
         return EdgePairPath(
-            grid.knots.copy(),
-            np.repeat(v, steps, axis=0),
-            np.repeat(g, steps, axis=0),
+            grid.knots.copy(), np.tile(v, (grid.steps, 1)), np.tile(g, (grid.steps, 1))
         )
 
 
 def zero_pair(n_edges: int, steps: int = 1) -> EdgePairPath:
     """Zero velocity with uniform edge mass: the stationary pair."""
     v, g = _constant_speed_rows(np.zeros((1, n_edges)))
-    return EdgePairPath.constant(v, g, steps)
+    return EdgePairPath.constant(v[0], g[0], steps)
 
 
 def _constant_speed_rows(targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -352,16 +335,10 @@ def triple_from_json(payload: dict, graph: DirectedGraph) -> Triple:
                         f"triple JSON is malformed: {key!r} holds {value!r}, "
                         "not a number"
                     )
-    try:
-        f = np.array(payload["f"], dtype=float)
-        v = np.array(payload["v"], dtype=float)
-        g = np.array(payload["g"], dtype=float)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError(f"triple JSON is malformed: {exc}") from exc
-    if f.shape != (steps + 1, n):
-        raise ValidationError(f"'f' must be {steps + 1} rows of {n} reals")
-    if v.shape != (steps, m) or g.shape != (steps, m):
-        raise ValidationError(f"'v' and 'g' must be {steps} rows of {m} reals")
+    f, v, g = (
+        _floats(payload.get(key), shape, f"triple JSON is malformed: {key!r}")
+        for key, shape in (("f", (steps + 1, n)), ("v", (steps, m)), ("g", (steps, m)))
+    )
     grid = TimeGrid(steps)
     _clean_rows(f, "vertex distribution")
     path = VertexPath(grid.knots.copy(), f)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .errors import SolverError, ValidationError, _floats
+from .errors import SolverError, _floats
 
 PIVOT_TOL = 1e-10
 OPT_TOL = 1e-9
@@ -30,11 +30,7 @@ class LinearProgram:
     eq_rhs: np.ndarray
 
     def __post_init__(self):
-        A = np.array(self.eq_matrix, dtype=float)
-        if A.ndim != 2:
-            raise ValidationError("constraint matrix must be two-dimensional")
-        if not np.isfinite(A).all():
-            raise ValidationError("matrix contains non-finite entries")
+        A = _floats(self.eq_matrix, (None, None), "constraint matrix")
         m, n = A.shape
         c = _floats(self.objective, n, "objective")
         b = _floats(self.eq_rhs, m, "rhs")

@@ -153,7 +153,7 @@ def flow_to_constant_pair(J: np.ndarray, steps: int = 1) -> EdgePairPath:
     uniform edge mass.
     """
     v, g = _constant_speed_rows(_floats(J, None, "flow")[None])
-    return EdgePairPath.constant(v, g, steps)
+    return EdgePairPath.constant(v[0], g[0], steps)
 
 
 def w1_auto(graph: DirectedGraph, f0: np.ndarray, f1: np.ndarray) -> float:

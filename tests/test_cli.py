@@ -319,6 +319,21 @@ def test_examples_unknown_name(capsys):
     capsys.readouterr()
 
 
+def test_library_checks_reach_the_command_line(cycle_files, tmp_path, capsys):
+    g, f0, f1 = cycle_files
+    out = str(tmp_path / "geo.csv")
+    cases = [
+        (["geodesic", "--graph", g, "--from", f0, "--to", f1, "--steps", "0",
+          "--out", out], "time grid needs at least one step"),
+        (["examples", "binomial", "--steps", "0"], "time grid needs at least one step"),
+        (["examples", "cauchy"],
+         "unknown example 'cauchy'; choose one of binomial, poisson, star, square"),
+    ]
+    for argv, message in cases:
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_geodesic_round_trip_through_verify(tmp_path, cycle_files, capsys):
     from got.graphs import load_graph
     from got.transport import flow_to_constant_pair, w1_beckmann

@@ -222,9 +222,9 @@ def test_grid_and_pair_validation():
     assert TimeGrid(np.int64(3)).steps == 3
     with pytest.raises(ValidationError, match="non-finite"):
         VertexPath([0.0, 1.0], [[1.0, 0.0], [np.nan, 1.0]])
-    with pytest.raises(ValidationError, match="knots must be finite"):
+    with pytest.raises(ValidationError, match="knots contains non-finite entries"):
         VertexPath([0.0, np.nan, 1.0], [[1.0, 0.0]] * 3)
-    with pytest.raises(ValidationError, match="knots must be finite"):
+    with pytest.raises(ValidationError, match="knots contains non-finite entries"):
         EdgePairPath([0.0, np.nan, 1.0], [[1.0]] * 2, [[1.0]] * 2)
     with pytest.raises(ValidationError, match="edge distribution"):
         EdgePairPath(TimeGrid(1).knots.copy(), [[1.0, 1.0]], [[0.9, 0.9]])

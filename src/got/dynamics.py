@@ -99,6 +99,10 @@ def _tail_flux(tree: DirectedGraph, path: VertexPath) -> np.ndarray:
 def tail_pde_check(triple: Triple, tree: DirectedGraph) -> TailResidualReport:
     """Residual of the tail form: the tail derivative at each edge's head
     must equal v*g on that edge."""
+    if triple.pair.n_edges != tree.n_edges:
+        raise ValidationError(
+            f"pair has {triple.pair.n_edges} edges, expected {tree.n_edges}"
+        )
     gap = np.abs(_tail_flux(tree, triple.path) - triple.pair.flux())
     if gap.size == 0:
         return TailResidualReport(0.0, 0, 0)

@@ -1,4 +1,4 @@
-"""Random graphs and distributions for tests and benchmarks."""
+"""Random graphs and distributions for tests."""
 
 from __future__ import annotations
 

@@ -387,8 +387,6 @@ def graph_from_json(payload: dict) -> DirectedGraph:
         raise ValidationError("graph JSON needs a non-empty 'vertices' list")
     labels = tuple(str(v) for v in vertices)
     index = {label: i for i, label in enumerate(labels)}
-    if len(index) != len(labels):
-        raise ValidationError("vertex labels must be distinct")
     raw_edges = payload.get("edges", [])
     if not isinstance(raw_edges, list):
         raise ValidationError("graph JSON 'edges' must be a list")

@@ -89,7 +89,7 @@ class TimeGrid:
     steps: int
 
     def __post_init__(self):
-        if not float(self.steps).is_integer():
+        if not _is_json_number(self.steps) or not float(self.steps).is_integer():
             raise ValidationError(f"time grid steps must be an integer, got {self.steps}")
         steps = int(self.steps)
         if steps < 1:

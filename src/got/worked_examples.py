@@ -1,10 +1,13 @@
 """Four canonical transport problems with closed-form answers.
 
 Each builds a graph, a pair of endpoint vectors, and an analytic triple
-(f, v, g) sampled on a grid: f at the knots, v and g at interval
-midpoints, which keeps the discretization error of the transport
-equation at second order. The analytic energy, the coupling-LP value,
-and the minimal-flow value can then be compared against the closed form.
+(f, v, g) sampled on a grid: f at the knots and the flux at interval
+midpoints, factored at constant speed, which keeps the discretization
+error of the transport equation at second order. The analytic energy,
+the coupling-LP value, and the minimal-flow value can then be compared
+against the closed form. Both solvers are valued on the endpoint
+difference f1 - f0; the coupling value is computed on its normalized
+positive and negative parts.
 
 * binomial -- Bin(n, p(t)) on a path graph with p interpolated linearly;
   v*g on edge k is n p'(t) Bin_k(n-1, p(t)) and the distance is n |dp|.
@@ -13,8 +16,7 @@ and the minimal-flow value can then be compared against the closed form.
 * star -- a three-leaf star whose center mass Z(t) moves linearly; the
   stated coefficients make Z(t) = -(a t + b), which leaves [0, 1], so
   the "distributions" are signed. All identities are linear in the
-  endpoint difference and still hold; the coupling value is computed on
-  the normalized positive/negative parts of the difference.
+  endpoint difference and still hold.
 * square -- a product of two independent bits on a 4-cycle; the distance
   splits into the two marginal moves |dp| + |dq|.
 """
@@ -30,7 +32,8 @@ from .dynamics import energy
 from .errors import ValidationError
 from .graphs import DirectedGraph
 from .measures import EdgePairPath, TimeGrid, Triple, VertexPath
-from .transport import beckmann_flow, w1_beckmann, w1_difference, w1_kantorovich
+from .measures import _constant_speed_rows, convex_interpolation
+from .transport import beckmann_flow, w1_difference
 
 EXAMPLE_NAMES = ("binomial", "poisson", "star", "square")
 
@@ -43,7 +46,6 @@ class WorkedExample:
     f1: np.ndarray
     triple: Triple
     closed_form: float
-    signed_endpoints: bool = False
 
 
 @dataclass(frozen=True)
@@ -84,26 +86,17 @@ def cycle_graph_4() -> DirectedGraph:
 
 
 def _sampled_example(
-    name: str,
-    graph: DirectedGraph,
-    f_of_t,
-    v_of_t,
-    g_of_t,
-    steps: int,
-    closed_form: float,
-    signed_endpoints: bool = False,
+    name: str, graph: DirectedGraph, f_of_t, flux_of_t, steps: int, closed_form: float
 ) -> WorkedExample:
-    """The example whose triple samples f at the knots, v and g at midpoints."""
+    """The example whose triple samples f at the knots and the flux v*g at
+    the interval midpoints, factored at constant speed."""
     grid = TimeGrid(steps)
     knots = grid.knots
     mids = 0.5 * (knots[:-1] + knots[1:])
     f = np.stack([f_of_t(t) for t in knots])
-    v = np.stack([v_of_t(t) for t in mids])
-    g = np.stack([g_of_t(t) for t in mids])
+    v, g = _constant_speed_rows(np.stack([flux_of_t(t) for t in mids]))
     triple = Triple(VertexPath(knots.copy(), f), EdgePairPath(knots.copy(), v, g))
-    return WorkedExample(
-        name, graph, f_of_t(0.0), f_of_t(1.0), triple, closed_form, signed_endpoints
-    )
+    return WorkedExample(name, graph, f_of_t(0.0), f_of_t(1.0), triple, closed_form)
 
 
 def _path_example(
@@ -111,8 +104,8 @@ def _path_example(
 ) -> WorkedExample:
     """pmf(theta(t), size) on the path of ``size`` vertices, theta linear in t.
 
-    theta runs from a to b; the pair is v = speed with g = pmf(theta,
-    size - 1) on the edges, and the distance is |speed|.
+    theta runs from a to b; the flux is speed * pmf(theta, size - 1) on
+    the edges, and the distance is |speed|.
     """
     graph = path_graph(size)
 
@@ -122,13 +115,10 @@ def _path_example(
     def f_of_t(t: float) -> np.ndarray:
         return pmf(theta(t), size)
 
-    def v_of_t(t: float) -> np.ndarray:
-        return np.full(size - 1, speed)
+    def flux_of_t(t: float) -> np.ndarray:
+        return speed * pmf(theta(t), size - 1)
 
-    def g_of_t(t: float) -> np.ndarray:
-        return pmf(theta(t), size - 1)
-
-    return _sampled_example(name, graph, f_of_t, v_of_t, g_of_t, steps, abs(speed))
+    return _sampled_example(name, graph, f_of_t, flux_of_t, steps, abs(speed))
 
 
 def _binomial_pmf(p: float, size: int) -> np.ndarray:
@@ -175,10 +165,10 @@ def star_example(steps: int = 100, a: float = -2.0, b: float = -3.0) -> WorkedEx
 
     With s(t) = -(1 + 1/(a t + b))/3 the algebra collapses to
     Z(t) = -(a t + b), linear in t, so the path is the straight-line
-    interpolation of its endpoints and the edge-invariant pair
-    v = -Z' = a, g = 1/3 drives it exactly. The distance is |a|,
-    which equals |Z(1) - Z(0)|. Note the stated coefficients push Z
-    outside [0, 1]: the endpoint vectors are signed, not distributions.
+    interpolation of its endpoints and the flux -Z'/3 = a/3 on each leaf
+    edge drives it exactly. The distance is |a|, which equals
+    |Z(1) - Z(0)|. Note the stated coefficients push Z outside [0, 1]:
+    the endpoint vectors are signed, not distributions.
     """
     graph = star_graph(3)
 
@@ -189,15 +179,10 @@ def star_example(steps: int = 100, a: float = -2.0, b: float = -3.0) -> WorkedEx
         z = 1.0 / (1.0 + 3.0 * s(t))
         return z * np.array([1.0, s(t), s(t), s(t)])
 
-    def v_of_t(t: float) -> np.ndarray:
-        return np.full(3, a)  # -Z'(t) with Z = -(a t + b)
+    def flux_of_t(t: float) -> np.ndarray:
+        return np.full(3, a / 3.0)  # -Z'(t)/3 with Z = -(a t + b)
 
-    def g_of_t(t: float) -> np.ndarray:
-        return np.full(3, 1.0 / 3.0)
-
-    return _sampled_example(
-        "star", graph, f_of_t, v_of_t, g_of_t, steps, abs(a), signed_endpoints=True
-    )
+    return _sampled_example("star", graph, f_of_t, flux_of_t, steps, abs(a))
 
 
 def square_example(
@@ -216,7 +201,6 @@ def square_example(
     """
     graph = cycle_graph_4()
     dp, dq = p1 - p0, q1 - q0
-    speed = abs(dp) + abs(dq)
 
     def pq(t: float) -> tuple[float, float]:
         return (1.0 - t) * p0 + t * p1, (1.0 - t) * q0 + t * q1
@@ -233,18 +217,9 @@ def square_example(
             [-dp * q, -dq * (1.0 - p), -dp * (1.0 - q), -p * dq]
         )
 
-    def v_of_t(t: float) -> np.ndarray:
-        if speed == 0.0:
-            return np.zeros(4)
-        h = flux_of_t(t)
-        return np.where(h >= 0.0, 1.0, -1.0) * speed
-
-    def g_of_t(t: float) -> np.ndarray:
-        if speed == 0.0:
-            return np.full(4, 0.25)
-        return np.abs(flux_of_t(t)) / speed
-
-    return _sampled_example("square", graph, f_of_t, v_of_t, g_of_t, steps, speed)
+    return _sampled_example(
+        "square", graph, f_of_t, flux_of_t, steps, abs(dp) + abs(dq)
+    )
 
 
 def build_example(name: str, steps: int = 100, truncation: int = 30) -> WorkedExample:
@@ -269,19 +244,13 @@ def evaluate_example(
     graph = example.graph
     analytic = energy(example.triple.pair, 2.0).value
     delta = example.f1 - example.f0
-    if example.signed_endpoints:
-        kant = w1_difference(graph, delta)
-        beck, _ = beckmann_flow(graph, delta)
-    else:
-        kant, _ = w1_kantorovich(graph, example.f0, example.f1)
-        beck, _ = w1_beckmann(graph, example.f0, example.f1)
+    kant = w1_difference(graph, delta)
+    beck, _ = beckmann_flow(graph, delta)
     extras: dict[str, float] = {}
     if name == "star":
-        knots = example.triple.path.knots[:, None]
-        straight = (1.0 - knots) * example.f0 + knots * example.f1
-        extras["convexity_gap"] = float(
-            np.abs(example.triple.path.samples - straight).max()
-        )
+        path = example.triple.path
+        straight = convex_interpolation(example.f0, example.f1, TimeGrid(path.steps))
+        extras["convexity_gap"] = float(np.abs(path.samples - straight.samples).max())
     return ExampleReport(
         name=name,
         closed_form=example.closed_form,

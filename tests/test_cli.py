@@ -123,6 +123,14 @@ def test_distance_validation_failures(cycle_files, capsys, tmp_path):
     assert "beyond the float range" in capsys.readouterr().err
 
 
+def test_distance_rejects_duplicate_labels(cycle_files, capsys, tmp_path):
+    _, f0, f1 = cycle_files
+    labels = CYCLE_JSON["vertices"] + ["0"]
+    twice = _write(tmp_path, "twice.json", {**CYCLE_JSON, "vertices": labels})
+    assert cli.main(["distance", "--graph", twice, "--from", f0, "--to", f1]) == 1
+    assert "vertex labels must be distinct" in capsys.readouterr().err
+
+
 def test_usage_errors_exit_one(capsys):
     assert cli.main(["distance", "--graph", "g.json"]) == 1
     assert cli.main(["nonsense"]) == 1

@@ -123,6 +123,15 @@ def test_tail_pde_examples():
         tail_pde_check(Triple(spath, spair), CYCLE4)
 
 
+@pytest.mark.parametrize("n_edges", [1, 3])
+def test_tail_pde_check_rejects_a_pair_on_other_edges(n_edges):
+    path3 = path_graph(3)
+    fpath = convex_interpolation([1.0, 0.0, 0.0], [0.0, 0.0, 1.0], TimeGrid(2))
+    pair = EdgePairPath.constant(np.ones(n_edges), np.full(n_edges, 1.0 / n_edges), 2)
+    with pytest.raises(ValidationError, match=f"pair has {n_edges} edges, expected 2"):
+        tail_pde_check(Triple(fpath, pair), path3)
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_constant_speed_tree_solution(seed):
     _, tree, f0, f1 = _tree_instance(seed)

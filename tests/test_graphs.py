@@ -360,3 +360,14 @@ def test_graph_json_errors():
     with pytest.raises(ValidationError, match="root"):
         graph_from_json({"vertices": ["0", "1"],
                          "edges": [{"tail": "0", "head": "1"}], "root": "9"})
+
+
+def test_duplicate_labels_rejected():
+    with pytest.raises(ValidationError, match="vertex labels must be distinct"):
+        DirectedGraph(("0", "1", "0"), ((0, 1), (1, 2)))
+    # the JSON reader leaves the check to the graph it builds
+    with pytest.raises(ValidationError, match="vertex labels must be distinct"):
+        graph_from_json({"vertices": ["0", "1", "0"],
+                         "edges": [{"tail": "0", "head": "1"}]})
+    with pytest.raises(ValidationError, match="vertex labels must be distinct"):
+        graph_from_json({"vertices": [0, "0"], "edges": [{"tail": 0, "head": "0"}]})

@@ -214,12 +214,19 @@ def test_tv_examples():
     assert tv_distance([0.5, 0.5], [0.9, 0.1]) == pytest.approx(0.4)
 
 
+@pytest.mark.parametrize("steps", [None, [2], "3", True, np.nan, np.inf])
+def test_time_grid_rejects_what_is_not_a_real_integer(steps):
+    with pytest.raises(ValidationError, match="time grid steps must be an integer"):
+        TimeGrid(steps)
+
+
 def test_grid_and_pair_validation():
     with pytest.raises(ValidationError):
         TimeGrid(0)
     with pytest.raises(ValidationError, match="integer"):
         TimeGrid(2.7)
     assert TimeGrid(np.int64(3)).steps == 3
+    assert TimeGrid(2.0).steps == 2
     with pytest.raises(ValidationError, match="non-finite"):
         VertexPath([0.0, 1.0], [[1.0, 0.0], [np.nan, 1.0]])
     with pytest.raises(ValidationError, match="knots contains non-finite entries"):

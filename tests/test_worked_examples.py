@@ -4,6 +4,7 @@ import pytest
 from got.dynamics import energy, transport_residual
 from got.errors import ValidationError
 from got.measures import vertex_distribution
+from got.transport import beckmann_flow, w1_difference
 from got.worked_examples import (
     build_example,
     evaluate_example,
@@ -45,7 +46,6 @@ def test_analytic_triples_nearly_solve_the_transport_equation(name):
 
 def test_star_is_signed_but_affine():
     example = star_example(steps=50)
-    assert example.signed_endpoints
     assert example.f0[1] < 0  # the stated coefficients leave the simplex
     knots = example.triple.path.knots[:, None]
     straight = (1.0 - knots) * example.f0 + knots * example.f1
@@ -54,6 +54,22 @@ def test_star_is_signed_but_affine():
     # residual of the edge-invariant pair on the signed path
     residual = transport_residual(example.triple, example.graph.incidence)
     assert residual.max_abs_residual <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "example",
+    [square_example(steps=4, p1=0.5, q1=0.5), star_example(steps=4, a=0.0)],
+    ids=["square", "star"],
+)
+def test_stationary_examples_factor_to_the_zero_pair(example):
+    pair = example.triple.pair
+    assert not pair.v.any()
+    assert np.array_equal(pair.g, np.full(pair.g.shape, 1.0 / pair.n_edges))
+    delta = example.f1 - example.f0
+    assert example.closed_form == 0.0
+    assert energy(pair, 2.0).value == 0.0
+    assert w1_difference(example.graph, delta) == 0.0
+    assert beckmann_flow(example.graph, delta)[0] == 0.0
 
 
 def test_square_is_discretization_exact():

@@ -30,7 +30,6 @@ from .graphs import (
     gradient,
     graph_from_json,
     graph_to_json,
-    is_outward_tree,
     laplacian,
     load_graph,
     shortest_path_metric,

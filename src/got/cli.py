@@ -21,7 +21,7 @@ from .dynamics import (
     transport_residual,
 )
 from .errors import SolverError, ValidationError
-from .graphs import _read_json, is_outward_tree, load_graph
+from .graphs import _read_json, load_graph
 from .measures import TimeGrid, load_distribution, triple_from_json
 from .transport import w1_auto, w1_beckmann, w1_kantorovich, w1_tree
 from .worked_examples import evaluate_example
@@ -157,7 +157,7 @@ def cmd_verify(args) -> int:
         f"(knot {report.worst_knot}, vertex {graph.labels[report.worst_vertex]})"
     )
     worst = report.max_abs_residual
-    if is_outward_tree(graph):
+    if graph.is_tree():
         tail = tail_pde_check(triple, graph)
         print(
             f"tail_residual: {_fmt(tail.max_abs_residual)} "

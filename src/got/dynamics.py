@@ -90,15 +90,25 @@ def energy(pair: EdgePairPath, q: float) -> EnergyReport:
 
 
 def _tail_flux(tree: DirectedGraph, path: VertexPath) -> np.ndarray:
-    """Per interval, the tail difference at each edge's head over the
-    interval length: the flux v*g that drives the path on the tree."""
+    """Per interval, the flux v*g that drives the path on the tree.
+
+    On each edge it is the tail difference at the edge's deeper endpoint
+    over the interval length, negated when the edge points toward the
+    root, as its flux then leaves that endpoint's subtree.
+    """
     dFdt = np.diff(tails(tree, path.samples), axis=0) / path.durations[:, None]
-    return dFdt[:, tree._endpoints[1]]
+    tail, head = tree._endpoints
+    depth = np.array(tree._traversal[3], dtype=np.int64)
+    inward = depth[tail] > depth[head]
+    flux = dFdt[:, np.where(inward, tail, head)]
+    flux[:, inward] *= -1.0
+    return flux
 
 
 def tail_pde_check(triple: Triple, tree: DirectedGraph) -> TailResidualReport:
-    """Residual of the tail form: the tail derivative at each edge's head
-    must equal v*g on that edge."""
+    """Residual of the tail form: the tail derivative at each edge's deeper
+    endpoint, negated on edges that point toward the root, must equal v*g
+    on that edge."""
     if triple.pair.n_edges != tree.n_edges:
         raise ValidationError(
             f"pair has {triple.pair.n_edges} edges, expected {tree.n_edges}"
@@ -113,12 +123,13 @@ def tail_pde_check(triple: Triple, tree: DirectedGraph) -> TailResidualReport:
 def constant_speed_solution_tree(
     tree: DirectedGraph, path: VertexPath
 ) -> EdgePairPath:
-    """The canonical pair driving a vertex path on an outward-rooted tree.
+    """The canonical pair driving a vertex path on a tree.
 
-    Per interval, v*g on an edge equals the tail difference at the edge's
-    head over the interval length; factored at constant speed, so the
-    resulting triple satisfies the transport equation exactly and the
-    edge masses sum to one.
+    Edges may point either way. Per interval, v*g on an edge equals the
+    tail difference at the edge's deeper endpoint over the interval
+    length, negated on edges that point toward the root; factored at
+    constant speed, so the resulting triple satisfies the transport
+    equation exactly and the edge masses sum to one.
     """
     v, g = _constant_speed_rows(_tail_flux(tree, path))
     return EdgePairPath(path.knots.copy(), v, g)

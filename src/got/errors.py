@@ -1,4 +1,6 @@
-"""Exceptions shared across the package, and the one reader of outside arrays."""
+"""Exceptions shared across the package, and the readers of outside values."""
+
+import numbers
 
 import numpy as np
 
@@ -9,6 +11,22 @@ class ValidationError(ValueError):
 
 class SolverError(RuntimeError):
     """The LP solver could not certify a result."""
+
+
+def _is_json_number(value) -> bool:
+    """A JSON number: a real, but not a bool, which Python counts as an int."""
+    # a float, what most JSON numbers parse to, skips the slow check against
+    # the abstract class
+    return type(value) is float or (
+        isinstance(value, numbers.Real) and not isinstance(value, bool)
+    )
+
+
+def _is_index(value) -> bool:
+    """An integer, numpy's included, but not a bool, nor a whole float."""
+    return type(value) is int or (
+        isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    )
 
 
 def _floats(

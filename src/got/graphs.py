@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ValidationError, _floats
+from .errors import ValidationError, _floats, _is_index, _is_json_number
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:
@@ -27,8 +27,10 @@ def _frozen(array: np.ndarray) -> np.ndarray:
 class DirectedGraph:
     """A finite simple connected graph with a fixed edge orientation.
 
-    ``root`` is optional; rooted-tree operations and the dropped row of
-    the incidence system fall back to vertex 0 when it is unset.
+    Edge endpoints and ``root`` are vertex indices: ints or numpy
+    integers, never bools or floats. ``root`` is optional; tree operations
+    and the dropped row of the incidence system fall back to vertex 0
+    when it is unset.
     """
 
     labels: tuple[str, ...]
@@ -37,9 +39,21 @@ class DirectedGraph:
 
     def __post_init__(self):
         object.__setattr__(self, "labels", tuple(str(l) for l in self.labels))
-        object.__setattr__(
-            self, "edges", tuple((int(t), int(h)) for t, h in self.edges)
-        )
+        edges = []
+        for k, (tail, head) in enumerate(self.edges):
+            if not (_is_index(tail) and _is_index(head)):
+                raise ValidationError(
+                    f"edge {k} ({tail!r}, {head!r}) has a vertex index "
+                    "that is not an integer"
+                )
+            edges.append((int(tail), int(head)))
+        object.__setattr__(self, "edges", tuple(edges))
+        if self.root is not None:
+            if not _is_index(self.root):
+                raise ValidationError(
+                    f"root {self.root!r} is not an integer vertex index"
+                )
+            object.__setattr__(self, "root", int(self.root))
         n = len(self.labels)
         if n == 0:
             raise ValidationError("graph needs at least one vertex")
@@ -60,7 +74,7 @@ class DirectedGraph:
                     f"{self.labels[key[0]]!r}--{self.labels[key[1]]!r}"
                 )
             seen.add(key)
-        if self.root is not None and not (0 <= int(self.root) < n):
+        if self.root is not None and not 0 <= self.root < n:
             raise ValidationError("root vertex out of range")
         depth = self._traversal[3]
         if -1 in depth:
@@ -79,7 +93,7 @@ class DirectedGraph:
 
     @property
     def effective_root(self) -> int:
-        return 0 if self.root is None else int(self.root)
+        return 0 if self.root is None else self.root
 
     @cached_property
     def incidence(self) -> np.ndarray:
@@ -101,10 +115,6 @@ class DirectedGraph:
         return _bfs(self, self.effective_root)
 
     @cached_property
-    def _outward_tree(self) -> _TreeStructure:
-        return _orient_tree(self)
-
-    @cached_property
     def _endpoints(self) -> tuple[np.ndarray, np.ndarray]:
         # int64 tail and head index of every edge (read-only, shared)
         tail, head = np.array(self.edges, dtype=np.int64).reshape(-1, 2).T
@@ -118,7 +128,6 @@ class DirectedGraph:
         return self.n_edges == self.n_vertices - 1
 
 
-_TreeStructure = tuple[int, tuple[int, ...], tuple[int, ...], tuple[int, ...]]
 _Traversal = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], tuple[int, ...]]
 _Sweep = tuple[tuple[np.ndarray, np.ndarray], ...]
 
@@ -254,47 +263,22 @@ def shortest_path_metric(graph: DirectedGraph) -> np.ndarray:
     )
 
 
-def outward_tree_structure(graph: DirectedGraph) -> _TreeStructure:
-    """Validate that the graph is a tree oriented away from its root.
+def _require_tree(graph: DirectedGraph) -> None:
+    """Raise ValidationError naming an edge that closes a cycle, if any.
 
-    Returns (root, bfs_order, parent_vertex, parent_edge) as tuples; the
-    parent entries of the root are -1. Raises ValidationError naming an
-    offending edge when the graph has a cycle or an edge pointing toward
-    the root. The structure is computed once and cached on the graph.
+    Edges may point either way: the tree functions read each edge at its
+    deeper endpoint in the breadth-first tree from the root.
     """
-    return graph._outward_tree
-
-
-def _orient_tree(graph: DirectedGraph) -> _TreeStructure:
-    root = graph.effective_root
-    order, parent_vertex, parent_edge, _ = graph._traversal
-    if not graph.is_tree():
-        # connected with |E| > |V|-1: an edge the traversal skipped closes a cycle
-        taken = set(parent_edge)
-        extra = next(k for k in range(graph.n_edges) if k not in taken)
-        tail, head = graph.edges[extra]
-        raise ValidationError(
-            f"not a tree: edge {extra} "
-            f"({graph.labels[tail]!r}->{graph.labels[head]!r}) closes a cycle"
-        )
-    # visiting order decides which inward edge is named
-    for y in order[1:]:
-        k = parent_edge[y]
-        tail, head = graph.edges[k]
-        if head != y:
-            raise ValidationError(
-                f"edge {k} ({graph.labels[tail]!r}->{graph.labels[head]!r}) "
-                f"points toward the root {graph.labels[root]!r}"
-            )
-    return root, order, parent_vertex, parent_edge
-
-
-def is_outward_tree(graph: DirectedGraph) -> bool:
-    try:
-        outward_tree_structure(graph)
-    except ValidationError:
-        return False
-    return True
+    if graph.is_tree():
+        return
+    # connected with |E| > |V|-1: an edge the traversal skipped closes a cycle
+    taken = set(graph._traversal[2])
+    extra = next(k for k in range(graph.n_edges) if k not in taken)
+    tail, head = graph.edges[extra]
+    raise ValidationError(
+        f"not a tree: edge {extra} "
+        f"({graph.labels[tail]!r}->{graph.labels[head]!r}) closes a cycle"
+    )
 
 
 @dataclass(frozen=True)
@@ -369,6 +353,13 @@ def spanning_tree_decomposition(graph: DirectedGraph) -> SpanningTreeDecompositi
     )
 
 
+def _json_label(value, what: str) -> str:
+    """A vertex label read from JSON: a string, or a number as its text."""
+    if isinstance(value, str) or _is_json_number(value):
+        return str(value)
+    raise ValidationError(f"{what} must be a string or a number, got {value!r}")
+
+
 def graph_from_json(payload: dict) -> DirectedGraph:
     """Build a graph from the JSON schema.
 
@@ -378,14 +369,15 @@ def graph_from_json(payload: dict) -> DirectedGraph:
          "root": "0"}
 
     Vertex order fixes vertex indices; edge order fixes edge indices.
-    ``root`` may be absent or null.
+    ``root`` may be absent or null. Labels, tails, heads and the root are
+    JSON strings or numbers, a number standing for its text.
     """
     if not isinstance(payload, dict):
         raise ValidationError("graph JSON must be an object")
     vertices = payload.get("vertices")
     if not isinstance(vertices, list) or not vertices:
         raise ValidationError("graph JSON needs a non-empty 'vertices' list")
-    labels = tuple(str(v) for v in vertices)
+    labels = tuple(_json_label(v, f"vertex {i} label") for i, v in enumerate(vertices))
     index = {label: i for i, label in enumerate(labels)}
     raw_edges = payload.get("edges", [])
     if not isinstance(raw_edges, list):
@@ -394,16 +386,18 @@ def graph_from_json(payload: dict) -> DirectedGraph:
     for k, entry in enumerate(raw_edges):
         if not isinstance(entry, dict) or "tail" not in entry or "head" not in entry:
             raise ValidationError(f"edge {k} must be an object with 'tail' and 'head'")
-        tail, head = str(entry["tail"]), str(entry["head"])
+        tail = _json_label(entry["tail"], f"edge {k} tail")
+        head = _json_label(entry["head"], f"edge {k} head")
         if tail not in index or head not in index:
             raise ValidationError(f"edge {k} references an unknown vertex label")
         edges.append((index[tail], index[head]))
     root = payload.get("root")
     root_index = None
     if root is not None:
-        if str(root) not in index:
+        root = _json_label(root, "root label")
+        if root not in index:
             raise ValidationError(f"root label {root!r} is not a vertex")
-        root_index = index[str(root)]
+        root_index = index[root]
     return DirectedGraph(labels=labels, edges=tuple(edges), root=root_index)
 
 

@@ -9,19 +9,18 @@ sum to one.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .errors import ValidationError, _floats
+from .errors import ValidationError, _floats, _is_json_number
 from .graphs import (
     DirectedGraph,
     _frozen,
     _read_json,
+    _require_tree,
     _subtree_sums,
-    outward_tree_structure,
 )
 
 NEG_TOL = 1e-12
@@ -29,15 +28,6 @@ NEG_TOL = 1e-12
 # must stay under the solvers' 1e-9 balance checks (the zero-sum test of a
 # difference vector and the simplex FEAS_TOL).
 SUM_TOL = 4e-10
-
-
-def _is_json_number(value) -> bool:
-    """A JSON number: a real, but not a bool, which Python counts as an int."""
-    # a float, what most JSON numbers parse to, skips the slow check against
-    # the abstract class
-    return type(value) is float or (
-        isinstance(value, numbers.Real) and not isinstance(value, bool)
-    )
 
 
 def _clean_rows(rows: np.ndarray, what: str) -> np.ndarray:
@@ -89,11 +79,22 @@ class TimeGrid:
     steps: int
 
     def __post_init__(self):
-        if not _is_json_number(self.steps) or not float(self.steps).is_integer():
+        # compared as an int, not a float: an int beyond the float range must
+        # reach the bound below, and infinite or NaN floats fail int()
+        try:
+            whole = _is_json_number(self.steps) and int(self.steps) == self.steps
+        except (OverflowError, ValueError):
+            whole = False
+        if not whole:
             raise ValidationError(f"time grid steps must be an integer, got {self.steps}")
         steps = int(self.steps)
         if steps < 1:
             raise ValidationError("time grid needs at least one step")
+        # steps + 1 knots must be a numpy array length
+        if steps >= np.iinfo(np.intp).max:
+            raise ValidationError(
+                f"time grid needs fewer than {np.iinfo(np.intp).max} steps"
+            )
         object.__setattr__(self, "steps", steps)
 
     @cached_property
@@ -229,16 +230,16 @@ class Triple:
 
 
 def tails(tree: DirectedGraph, mass) -> np.ndarray:
-    """Tail masses on a rooted tree with outward edges.
+    """Tail masses on a tree rooted at ``tree.root`` (vertex 0 when unset).
 
     Entry x is the total mass on x and all its descendants, so the root
-    entry equals the total mass. Linear in ``mass``, which is one vector
-    over the vertices or a stack of them, one row per knot; all rows go
-    through the tree's cached leaves-to-root sweep together, and each is
-    summed in the order of a one-vertex-at-a-time pass over the reversed
-    visiting order.
+    entry equals the total mass; edge orientation plays no part. Linear
+    in ``mass``, which is one vector over the vertices or a stack of
+    them, one row per knot; all rows go through the tree's cached
+    leaves-to-root sweep together, and each is summed in the order of a
+    one-vertex-at-a-time pass over the reversed visiting order.
     """
-    outward_tree_structure(tree)
+    _require_tree(tree)
     return _subtree_sums(tree, _floats(mass, tree.n_vertices, "mass", rows=True))
 
 

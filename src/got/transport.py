@@ -15,8 +15,7 @@ from .errors import SolverError, ValidationError, _floats
 from .graphs import (
     DirectedGraph,
     _net_inflow,
-    is_outward_tree,
-    outward_tree_structure,
+    _require_tree,
     shortest_path_metric,
     tree_flow,
 )
@@ -31,11 +30,13 @@ ZERO_SUM_TOL = 1e-9  # a difference vector's sum; see measures.SUM_TOL
 def w1_tree(
     tree: DirectedGraph, f0: np.ndarray, f1: np.ndarray
 ) -> float:
-    """W1 on a rooted tree with outward edges: sum of tail differences.
+    """W1 on a tree: the sum over non-root vertices of |tail difference|.
 
-    The tail difference at each edge's head is the tree flow on that edge.
+    Edges may point either way and the root is ``tree.root`` (vertex 0
+    when unset); the tail difference at each edge's deeper endpoint is,
+    up to the edge's sign, the tree flow on that edge.
     """
-    outward_tree_structure(tree)
+    _require_tree(tree)
     f0 = vertex_distribution(f0, tree.n_vertices)
     f1 = vertex_distribution(f1, tree.n_vertices)
     return float(np.abs(tree_flow(tree, f1 - f0)).sum())
@@ -157,8 +158,8 @@ def flow_to_constant_pair(J: np.ndarray, steps: int = 1) -> EdgePairPath:
 
 
 def w1_auto(graph: DirectedGraph, f0: np.ndarray, f1: np.ndarray) -> float:
-    """Tree closed form when the graph is an outward-rooted tree, else flow."""
-    if graph.is_tree() and is_outward_tree(graph):
+    """Tree closed form when the graph is a tree, else the minimal flow."""
+    if graph.is_tree():
         return w1_tree(graph, f0, f1)
     value, _ = w1_beckmann(graph, f0, f1)
     return value

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from got.graphs import outward_tree_structure, spanning_tree_decomposition
+from got.graphs import DirectedGraph, spanning_tree_decomposition
 from got.measures import EdgePairPath
 
 
@@ -53,12 +53,18 @@ def cycle_basis_reference(decomp):
 
 def tails_reference(tree, mass):
     """Tail masses by one vertex at a time over the reversed visiting order."""
-    _, order, parent_vertex, _ = outward_tree_structure(tree)
+    order, parent_vertex, _, _ = tree._traversal
     F = np.array(mass, dtype=float)
     by_vertex = F.T
     for x in reversed(order[1:]):
         by_vertex[parent_vertex[x]] += by_vertex[x]
     return F
+
+
+def reoriented(rng, graph):
+    """The graph with each edge flipped with probability 1/2 and a random root."""
+    edges = tuple((h, t) if rng.random() < 0.5 else (t, h) for t, h in graph.edges)
+    return DirectedGraph(graph.labels, edges, root=int(rng.integers(0, graph.n_vertices)))
 
 
 def random_epsilon(rng, decomp, scale=0.5):

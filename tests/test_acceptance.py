@@ -41,7 +41,7 @@ from got.measures import (
 )
 from got.transport import w1_beckmann, w1_kantorovich, w1_tree
 from got.worked_examples import binomial_example, evaluate_example, poisson_example
-from helpers import random_admissible_pair, row_reduction_rank
+from helpers import random_admissible_pair, reoriented, row_reduction_rank
 
 N_TREES = 100
 N_GRAPHS = 100
@@ -64,6 +64,19 @@ def tree_pool():
 
 
 @pytest.fixture(scope="module")
+def mixed_tree_pool():
+    # edges in random orientation, root at a random vertex
+    rng = np.random.default_rng(619)
+    pool = []
+    for _ in range(N_TREES):
+        tree = reoriented(rng, random_tree(rng, int(rng.integers(2, 13))))
+        f0 = random_distribution(rng, tree.n_vertices)
+        f1 = random_distribution(rng, tree.n_vertices)
+        pool.append((tree, f0, f1))
+    return pool
+
+
+@pytest.fixture(scope="module")
 def graph_pool():
     rng = np.random.default_rng(618)
     pool = []
@@ -77,16 +90,16 @@ def graph_pool():
     return pool
 
 
-def test_criterion_1_tree_equivalence(tree_pool):
+def test_criterion_1_tree_equivalence(tree_pool, mixed_tree_pool):
     start = time.perf_counter()
     worst = 0.0
-    for tree, f0, f1 in tree_pool:
+    for tree, f0, f1 in tree_pool + mixed_tree_pool:
         closed = w1_tree(tree, f0, f1)
         oracle, _ = w1_kantorovich(tree, f0, f1)
         worst = max(worst, abs(closed - oracle))
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-8 and elapsed < 30.0
-    _line(1, ok, f"tree formula vs coupling LP on {N_TREES} trees, "
+    _line(1, ok, f"tree formula vs coupling LP on {2 * N_TREES} trees, "
                  f"max gap {worst:.2e}, {elapsed:.1f}s")
     assert worst <= 1e-8
     assert elapsed < 30.0
@@ -274,11 +287,11 @@ def test_criterion_9_operator_algebra(tree_pool, graph_pool):
     assert ok
 
 
-def test_criterion_10_tail_equation(tree_pool):
+def test_criterion_10_tail_equation(tree_pool, mixed_tree_pool):
     from got.dynamics import constant_speed_solution_tree
 
     worst_discrete = 0.0
-    for index, (tree, f0, f1) in enumerate(tree_pool[:40]):
+    for index, (tree, f0, f1) in enumerate(tree_pool[:40] + mixed_tree_pool[:40]):
         path = convex_interpolation(f0, f1, TimeGrid(5))
         pair = constant_speed_solution_tree(tree, path)
         report = tail_pde_check(Triple(path, pair), tree)

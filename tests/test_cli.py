@@ -83,6 +83,44 @@ def test_distance_tree_on_cycle_fails_naming_edge(cycle_files, capsys):
     assert "edge" in captured.err
 
 
+# a star centred on '1', rooted at a leaf; edges 0 and 2 point toward the root
+INWARD_JSON = {
+    "vertices": ["0", "1", "2", "3"],
+    "edges": [
+        {"tail": "1", "head": "0"},
+        {"tail": "1", "head": "2"},
+        {"tail": "3", "head": "1"},
+    ],
+    "root": "2",
+}
+
+
+def test_tree_methods_and_verify_on_an_inward_tree(tmp_path, capsys):
+    g = _write(tmp_path, "g.json", INWARD_JSON)
+    masses = np.array([0.1, 0.2, 0.3, 0.4]), np.array([0.4, 0.3, 0.2, 0.1])
+    f0, f1 = (_write(tmp_path, f"f{i}.json", _dist(m.tolist())) for i, m in enumerate(masses))
+    values = {}
+    for method in ("kantorovich", "tree", "auto"):
+        code = cli.main(
+            ["distance", "--graph", g, "--from", f0, "--to", f1, "--method", method]
+        )
+        out = capsys.readouterr().out
+        assert code == 0
+        values[method] = float(out.splitlines()[-1].split(": ")[1])
+    assert values["kantorovich"] == pytest.approx(0.7, abs=1e-12)
+    for method in ("tree", "auto"):
+        assert values[method] == pytest.approx(values["kantorovich"], abs=1e-12)
+
+    graph = got.graph_from_json(INWARD_JSON)
+    path = convex_interpolation(*masses, TimeGrid(3))
+    triple = Triple(path, constant_speed_solution_tree(graph, path))
+    t = _write(tmp_path, "t.json", triple_to_json(triple))
+    assert cli.main(["verify", "--graph", g, "--triple", t]) == 0
+    out = capsys.readouterr().out
+    assert "tail_residual: " in out
+    assert out.splitlines()[-1] == "PASS (threshold 1e-08)"
+
+
 def test_distance_benamou_prints_certificate(cycle_files, capsys):
     g, f0, f1 = cycle_files
     code = cli.main(
@@ -334,6 +372,8 @@ def test_library_checks_reach_the_command_line(cycle_files, tmp_path, capsys):
         (["geodesic", "--graph", g, "--from", f0, "--to", f1, "--steps", "0",
           "--out", out], "time grid needs at least one step"),
         (["examples", "binomial", "--steps", "0"], "time grid needs at least one step"),
+        (["examples", "binomial", "--steps", str(10**400)],
+         f"time grid needs fewer than {np.iinfo(np.intp).max} steps"),
         (["examples", "cauchy"],
          "unknown example 'cauchy'; choose one of binomial, poisson, star, square"),
     ]

@@ -33,11 +33,18 @@ from got.measures import (
     VertexPath,
     convex_interpolation,
     integrate_pair,
+    tails,
     zero_pair,
 )
-from got.transport import flow_to_constant_pair, w1_beckmann, w1_tree
+from got.transport import (
+    flow_to_constant_pair,
+    w1_auto,
+    w1_beckmann,
+    w1_kantorovich,
+    w1_tree,
+)
 from got.worked_examples import binomial_example, path_graph, star_graph
-from helpers import random_admissible_pair, random_epsilon
+from helpers import random_admissible_pair, random_epsilon, reoriented, tails_reference
 
 CYCLE4 = DirectedGraph(("0", "1", "2", "3"), ((0, 1), (1, 2), (3, 2), (0, 3)), root=0)
 F0_CYCLE = np.array([0.25, 0.25, 0.25, 0.25])
@@ -179,7 +186,7 @@ def test_tree_pipeline_traverses_the_tree_once(monkeypatch):
     for shape, root in ((tree, 0), (cyclic, int(rng.integers(1, tree.n_vertices)))):
         calls.clear()
         graph = DirectedGraph(shape.labels, shape.edges, root=root)
-        is_tree = graphs.is_outward_tree(graph)
+        is_tree = graph.is_tree()
         assert is_tree == (shape is tree)
         decomp = spanning_tree_decomposition(graph)
         assert decomp.dropped_vertex == root
@@ -190,6 +197,36 @@ def test_tree_pipeline_traverses_the_tree_once(monkeypatch):
             pair = constant_speed_solution_tree(graph, path)
             tail_pde_check(Triple(path, pair), graph)
         assert calls == [root]
+
+
+def test_tree_functions_take_any_orientation_and_root():
+    rng = np.random.default_rng(630)
+    for _ in range(120):
+        tree = reoriented(rng, random_tree(rng, int(rng.integers(2, 13))))
+        f0 = random_distribution(rng, tree.n_vertices)
+        f1 = random_distribution(rng, tree.n_vertices)
+        oracle, _ = w1_kantorovich(tree, f0, f1)
+        assert abs(w1_tree(tree, f0, f1) - oracle) <= 1e-12
+        assert abs(w1_auto(tree, f0, f1) - oracle) <= 1e-12
+        path = convex_interpolation(f0, f1, TimeGrid(int(rng.integers(1, 6))))
+        triple = Triple(path, constant_speed_solution_tree(tree, path))
+        assert tail_pde_check(triple, tree).max_abs_residual <= 1e-12
+        assert transport_residual(triple, tree.incidence).max_abs_residual <= 1e-12
+        assert abs(energy(triple.pair, 2.0).value - oracle) <= 1e-12
+        mass = rng.normal(size=(3, tree.n_vertices))
+        assert tails(tree, mass).tobytes() == tails_reference(tree, mass).tobytes()
+    cyclic = reoriented(rng, random_connected_graph(rng, 8, 3))
+    f = random_distribution(rng, 8)
+    path = convex_interpolation(f, f, TimeGrid(2))
+    pair = zero_pair(cyclic.n_edges, steps=2)
+    for call in (
+        lambda: w1_tree(cyclic, f, f),
+        lambda: tails(cyclic, f),
+        lambda: constant_speed_solution_tree(cyclic, path),
+        lambda: tail_pde_check(Triple(path, pair), cyclic),
+    ):
+        with pytest.raises(ValidationError, match=r"not a tree: edge \d+ .* closes a cycle"):
+            call()
 
 
 def test_constant_speed_tree_binomial_speed():

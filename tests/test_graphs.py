@@ -6,20 +6,21 @@ from got.generators import random_connected_graph, random_tree
 from got.graphs import (
     DirectedGraph,
     _net_inflow,
+    _require_tree,
     build_incidence,
     divergence,
     gradient,
     graph_from_json,
     graph_to_json,
-    is_outward_tree,
     laplacian,
-    outward_tree_structure,
     shortest_path_metric,
     spanning_tree_decomposition,
     tree_flow,
 )
 from got.dynamics import constant_speed_solution_graph
 from got.generators import random_distribution
+from got.measures import tails
+from got.transport import w1_tree
 from helpers import cycle_basis_reference, incidence_reference, row_reduction_rank
 
 SINGLE = DirectedGraph(("0", "1"), ((0, 1),))
@@ -203,26 +204,26 @@ def test_decomposition_random(seed):
 
 
 def test_outward_tree_checks():
-    assert is_outward_tree(PATH3)
+    # a tree is a tree whichever way its edges point
     inward = DirectedGraph(("0", "1", "2"), ((0, 1), (2, 1)), root=0)
-    with pytest.raises(ValidationError, match="points toward the root"):
-        outward_tree_structure(inward)
+    for tree in (PATH3, inward):
+        assert tree.is_tree()
+        _require_tree(tree)
+        assert w1_tree(tree, [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]) == pytest.approx(2.0)
+        assert tails(tree, [0.5, 0.3, 0.2]) == pytest.approx([1.0, 0.5, 0.2])
     with pytest.raises(ValidationError, match="closes a cycle"):
-        outward_tree_structure(CYCLE4)
-    assert not is_outward_tree(CYCLE4)
+        _require_tree(CYCLE4)
+    assert not CYCLE4.is_tree()
 
 
 def test_structure_errors_name_the_offending_edge():
-    # edges 0 and 1 both point toward the root; the one met first is named
-    inward = DirectedGraph(("0", "1", "2"), ((2, 1), (1, 0)), root=0)
+    # both edges point toward the root; neither is an error any more
+    _require_tree(DirectedGraph(("0", "1", "2"), ((2, 1), (1, 0)), root=0))
     with pytest.raises(ValidationError) as info:
-        outward_tree_structure(inward)
-    assert str(info.value) == "edge 1 ('1'->'0') points toward the root '0'"
-    with pytest.raises(ValidationError) as info:
-        outward_tree_structure(CYCLE4)
+        _require_tree(CYCLE4)
     assert str(info.value) == "not a tree: edge 2 ('3'->'2') closes a cycle"
     with pytest.raises(ValidationError) as info:
-        outward_tree_structure(DirectedGraph(CYCLE4.labels, CYCLE4.edges, root=2))
+        _require_tree(DirectedGraph(CYCLE4.labels, CYCLE4.edges, root=2))
     assert str(info.value) == "not a tree: edge 3 ('0'->'3') closes a cycle"
     with pytest.raises(ValidationError) as info:
         DirectedGraph(("a", "b", "c", "d"), ((2, 3), (0, 1)))
@@ -238,25 +239,27 @@ def rerooted(graph, root):
 
 
 def test_outward_tree_explicit_root():
-    # outward from vertex 1, not from the default root 0
+    # the traversal, and so the tails, start at the root, not at vertex 0
     graph = DirectedGraph(("0", "1", "2"), ((1, 0), (1, 2)))
-    assert not is_outward_tree(graph)
-    assert is_outward_tree(rerooted(graph, 1))
-    expected = (1, (1, 0, 2), (1, -1, 1), (0, -1, 1))
-    assert outward_tree_structure(rerooted(graph, 1)) == expected
-    assert not is_outward_tree(rerooted(PATH3, 2))
-    assert is_outward_tree(rerooted(STAR3, 0))
-    assert not is_outward_tree(rerooted(STAR3, 3))
+    assert graph._traversal == ((0, 1, 2), (-1, 0, 1), (-1, 0, 1), (0, 1, 2))
+    assert rerooted(graph, 1)._traversal == ((1, 0, 2), (1, -1, 1), (0, -1, 1), (1, 0, 1))
+    assert tails(graph, [0.5, 0.3, 0.2]) == pytest.approx([1.0, 0.5, 0.2])
+    assert tails(rerooted(graph, 1), [0.5, 0.3, 0.2]) == pytest.approx([0.5, 1.0, 0.2])
+    # W1 does not depend on the root
+    for tree, f0, f1 in ((PATH3, [0.2, 0.3, 0.5], [0.6, 0.3, 0.1]),
+                         (STAR3, [0.1, 0.2, 0.3, 0.4], [0.4, 0.3, 0.2, 0.1])):
+        values = [w1_tree(rerooted(tree, r), f0, f1) for r in range(tree.n_vertices)]
+        assert max(values) - min(values) <= 1e-15
     for bad in (-1, 3):
         with pytest.raises(ValidationError, match="root vertex out of range"):
             rerooted(PATH3, bad)
 
 
 def test_cached_tree_structure_is_shared_and_immutable():
-    structure = outward_tree_structure(STAR3)
-    assert outward_tree_structure(STAR3) is structure
-    assert structure == (0, (0, 1, 2, 3), (-1, 0, 0, 0), (-1, 0, 1, 2))
-    assert all(isinstance(part, tuple) for part in structure[1:])
+    structure = STAR3._traversal
+    assert STAR3._traversal is structure
+    assert structure == ((0, 1, 2, 3), (-1, 0, 0, 0), (-1, 0, 1, 2), (0, 1, 1, 1))
+    assert all(isinstance(part, tuple) for part in structure)
     tail, head = CYCLE4._endpoints
     assert CYCLE4._endpoints[0] is tail
     assert tail.dtype == head.dtype == np.int64
@@ -340,8 +343,34 @@ def test_metric_matches_networkx(seed):
 def test_random_tree_is_outward(seed):
     rng = np.random.default_rng(300 + seed)
     tree = random_tree(rng, 9)
-    assert tree.is_tree()
-    assert is_outward_tree(tree)
+    assert tree.is_tree() and tree.effective_root == 0
+    depth = tree._traversal[3]
+    assert all(depth[head] == depth[tail] + 1 for tail, head in tree.edges)
+
+
+def test_vertex_indices_must_be_integers():
+    labels = ("a", "b", "c")
+    for edges, message in (
+        (((0, 1), (1, 1.7)), "edge 1 (1, 1.7) has a vertex index that is not an integer"),
+        (((0, 1.0), (1, 2)), "edge 0 (0, 1.0) has a vertex index that is not an integer"),
+        (((True, 1), (1, 2)), "edge 0 (True, 1) has a vertex index that is not an integer"),
+        (((0, 1), ("1", 2)), "edge 1 ('1', 2) has a vertex index that is not an integer"),
+    ):
+        with pytest.raises(ValidationError) as info:
+            DirectedGraph(labels, edges)
+        assert str(info.value) == message
+    for root in (1.5, 1.0, True, np.True_, "1"):
+        with pytest.raises(ValidationError) as info:
+            DirectedGraph(labels, ((0, 1), (1, 2)), root=root)
+        assert str(info.value) == f"root {root!r} is not an integer vertex index"
+    # numpy integers are integers, and are stored as Python ints
+    graph = DirectedGraph(
+        labels, ((np.int64(0), np.int32(1)), (np.uint8(1), 2)), root=np.int64(2)
+    )
+    assert graph.edges == ((0, 1), (1, 2)) and graph.root == 2
+    assert all(type(i) is int for edge in graph.edges for i in edge)
+    assert type(graph.root) is int
+    assert graph_to_json(graph)["root"] == "c"
 
 
 def test_graph_json_round_trip():
@@ -360,6 +389,29 @@ def test_graph_json_errors():
     with pytest.raises(ValidationError, match="root"):
         graph_from_json({"vertices": ["0", "1"],
                          "edges": [{"tail": "0", "head": "1"}], "root": "9"})
+
+
+def test_graph_json_labels_are_strings_or_numbers():
+    pair = {"vertices": ["0", "1"]}
+    for payload, message in (
+        ({"vertices": [None, True, [1]]}, "vertex 0 label must be a string or a number, got None"),
+        ({"vertices": ["0", True]}, "vertex 1 label must be a string or a number, got True"),
+        ({**pair, "edges": [{"tail": None, "head": "1"}]},
+         "edge 0 tail must be a string or a number, got None"),
+        ({**pair, "edges": [{"tail": "0", "head": [1]}]},
+         "edge 0 head must be a string or a number, got [1]"),
+        ({**pair, "edges": [{"tail": "0", "head": "1"}], "root": True},
+         "root label must be a string or a number, got True"),
+        ({**pair, "edges": [{"tail": "0", "head": "1"}], "root": {"0": 1}},
+         "root label must be a string or a number, got {'0': 1}"),
+    ):
+        with pytest.raises(ValidationError) as info:
+            graph_from_json(payload)
+        assert str(info.value) == message
+    # a number stands for its text
+    graph = graph_from_json({"vertices": [0, 1.5], "edges": [{"tail": 0, "head": "1.5"}],
+                             "root": 1.5})
+    assert graph.labels == ("0", "1.5") and graph.edges == ((0, 1),) and graph.root == 1
 
 
 def test_duplicate_labels_rejected():

@@ -220,6 +220,17 @@ def test_time_grid_rejects_what_is_not_a_real_integer(steps):
         TimeGrid(steps)
 
 
+@pytest.mark.parametrize(
+    "steps", [10**400, 2**63, np.iinfo(np.intp).max, 1e300],
+    ids=["10**400", "2**63", "intp_max", "1e300"],
+)
+def test_time_grid_rejects_more_knots_than_an_array_holds(steps):
+    # rejected at construction; the knots are never built
+    with pytest.raises(ValidationError) as info:
+        TimeGrid(steps)
+    assert str(info.value) == f"time grid needs fewer than {np.iinfo(np.intp).max} steps"
+
+
 def test_grid_and_pair_validation():
     with pytest.raises(ValidationError):
         TimeGrid(0)

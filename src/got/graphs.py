@@ -40,7 +40,13 @@ class DirectedGraph:
     def __post_init__(self):
         object.__setattr__(self, "labels", tuple(str(l) for l in self.labels))
         edges = []
-        for k, (tail, head) in enumerate(self.edges):
+        for k, edge in enumerate(self.edges):
+            try:
+                tail, head = edge
+            except (TypeError, ValueError):
+                raise ValidationError(
+                    f"edge {k} {edge!r} is not a (tail, head) pair"
+                ) from None
             if not (_is_index(tail) and _is_index(head)):
                 raise ValidationError(
                     f"edge {k} ({tail!r}, {head!r}) has a vertex index "
@@ -420,7 +426,7 @@ def _read_json(path, what: str):
             return json.load(fh)
     except OSError as exc:
         raise ValidationError(f"cannot read {what} file {path}: {exc}") from exc
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError, digit limits
         raise ValidationError(f"{what} file {path} is not valid JSON: {exc}") from exc
 
 

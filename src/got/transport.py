@@ -1,7 +1,7 @@
 """Static Wasserstein-1 solvers: tree tails, Beckmann flows, coupling LP.
 
-Three independent routes to the same number. The coupling LP over all
-transport plans is the oracle; the tree closed form sums tail
+Three independent routes to the same number. The coupling LP, on the
+mass that moves, is the oracle; the tree closed form sums tail
 differences; the Beckmann formulation finds a minimal-total-flow edge
 vector balancing the endpoint difference. Flows convert to time-constant
 velocity/edge-distribution pairs for the dynamic machinery.
@@ -12,13 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import SolverError, ValidationError, _floats
-from .graphs import (
-    DirectedGraph,
-    _net_inflow,
-    _require_tree,
-    shortest_path_metric,
-    tree_flow,
-)
+from .graphs import DirectedGraph, _bfs, _net_inflow, _require_tree, tree_flow
 from .measures import EdgePairPath, _constant_speed_rows, vertex_distribution
 from .simplex import LinearProgram, solve_lp
 
@@ -45,32 +39,22 @@ def w1_tree(
 def w1_kantorovich(
     graph: DirectedGraph, f0: np.ndarray, f1: np.ndarray
 ) -> tuple[float, np.ndarray]:
-    """W1 as the minimal expected hop distance over couplings.
+    """W1 as the minimal expected hop distance over couplings of f0 and f1.
 
-    Solves the coupling LP with one variable per vertex pair; this is the
-    oracle the other methods are checked against. Returns the optimal
-    value and one optimal transport plan.
+    The oracle the other methods are checked against. The common mass
+    min(f0, f1) stays in place at no cost, so only the moved mass f1 - f0
+    is coupled, by ``w1_difference``'s transportation LP. Returns the
+    optimal value and one optimal plan: diag(min(f0, f1)) plus the moved
+    mass's plan on its source and target vertices.
     """
     n = graph.n_vertices
     f0 = vertex_distribution(f0, n)
     f1 = vertex_distribution(f1, n)
-    metric = shortest_path_metric(graph).astype(float)
-
-    A = np.zeros((2 * n, n * n))
-    for x in range(n):
-        A[x, x * n : (x + 1) * n] = 1.0  # row sums: first marginal
-    for y in range(n):
-        A[n + y, y::n] = 1.0  # column sums: second marginal
-    lp = LinearProgram(metric.ravel(), A, np.concatenate([f0, f1]))
-    solution = solve_lp(lp)
-    if solution.status != "optimal":
-        raise SolverError(
-            f"coupling LP ended {solution.status} for valid distributions "
-            f"(|V|={n}); inputs sum to {f0.sum():.12g} and {f1.sum():.12g}"
-        )
-    plan = solution.x.reshape(n, n)
+    value, sources, targets, moved = _couple_moved_mass(graph, f1 - f0)
+    plan = np.diag(np.minimum(f0, f1))
+    plan[np.ix_(sources, targets)] = moved
     check_transport_plan(plan, f0, f1)
-    return solution.objective_value, plan
+    return value, plan
 
 
 def check_transport_plan(
@@ -126,23 +110,43 @@ def w1_beckmann(
     return beckmann_flow(graph, f1 - f0)
 
 
-def w1_difference(graph: DirectedGraph, delta: np.ndarray) -> float:
-    """Coupling-LP value for a signed balanced difference vector.
+def _couple_moved_mass(
+    graph: DirectedGraph, delta: np.ndarray
+) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+    """Send the loss part of a balanced delta to its gain part at least cost.
 
-    Splits delta into its positive and negative parts, couples the two
-    normalized parts, and rescales by the moved mass. Agrees with
-    w1_kantorovich(f0, f1) whenever delta = f1 - f0 for distributions,
-    and stays well defined for signed vectors where the coupling LP
-    itself would have no feasible marginals.
+    The transportation LP between S = supp(delta < 0) and T = supp(delta > 0)
+    has one variable per pair in S x T, one row per vertex of S and of T,
+    and hop costs from one breadth-first traversal per source. Returns the
+    value, S, T and the |S| x |T| plan; an empty S or T moves nothing.
     """
-    delta = _difference(graph, delta)
-    gain = np.clip(delta, 0.0, None)
-    loss = np.clip(-delta, 0.0, None)
-    moved = float(gain.sum())
-    if moved <= 1e-15:
-        return 0.0
-    value, _ = w1_kantorovich(graph, loss / moved, gain / moved)
-    return moved * value
+    sources, targets = np.flatnonzero(delta < 0), np.flatnonzero(delta > 0)
+    s, t = sources.size, targets.size
+    if s == 0 or t == 0:
+        return 0.0, sources, targets, np.zeros((s, t))
+    cost = np.array([_bfs(graph, int(x))[3] for x in sources])
+    # row i: the pairs leaving source i; row s + j: the pairs entering target j
+    A = np.vstack([np.kron(np.eye(s), np.ones(t)), np.tile(np.eye(t), s)])
+    loss, gain = -delta[sources], delta[targets]
+    lp = LinearProgram(cost[:, targets].ravel(), A, np.concatenate([loss, gain]))
+    solution = solve_lp(lp)
+    if solution.status != "optimal":
+        raise SolverError(
+            f"coupling LP ended {solution.status} on the moved mass (|S|={s}, "
+            f"|T|={t}); the parts carry {loss.sum():.12g} and {gain.sum():.12g}"
+        )
+    return solution.objective_value, sources, targets, solution.x.reshape(s, t)
+
+
+def w1_difference(graph: DirectedGraph, delta: np.ndarray) -> float:
+    """W1 of a signed balanced difference vector, by the coupling LP.
+
+    Couples the loss part max(-delta, 0) to the gain part max(delta, 0)
+    over hop distances, so for delta = f1 - f0 it equals
+    w1_kantorovich(f0, f1), and it scales with delta. Returns exactly 0.0
+    when either part is empty.
+    """
+    return _couple_moved_mass(graph, _difference(graph, delta))[0]
 
 
 def flow_to_constant_pair(J: np.ndarray, steps: int = 1) -> EdgePairPath:

@@ -6,8 +6,8 @@ midpoints, factored at constant speed, which keeps the discretization
 error of the transport equation at second order. The analytic energy,
 the coupling-LP value, and the minimal-flow value can then be compared
 against the closed form. Both solvers are valued on the endpoint
-difference f1 - f0; the coupling value is computed on its normalized
-positive and negative parts.
+difference f1 - f0; the coupling LP sends its negative part to its
+positive part.
 
 * binomial -- Bin(n, p(t)) on a path graph with p interpolated linearly;
   v*g on edge k is n p'(t) Bin_k(n-1, p(t)) and the distance is n |dp|.

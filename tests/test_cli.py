@@ -341,6 +341,25 @@ def test_unreadable_or_invalid_json_files_exit_one(cycle_files, tmp_path, capsys
         assert capsys.readouterr().err.startswith(f"error: {message}")
 
 
+def test_json_integer_beyond_the_digit_limit_exits_one(cycle_files, tmp_path):
+    g, f0, _ = cycle_files
+    # Python's JSON parser refuses integer literals past 4300 digits
+    huge = tmp_path / "huge.json"
+    huge.write_text('{"values": {"0": 1' + "0" * 5000 + "}}")
+    package_root = str(Path(got.__file__).resolve().parents[1])
+    search = [package_root, os.environ.get("PYTHONPATH", "")]
+    proc = subprocess.run(
+        [sys.executable, "-m", "got.cli", "distance", "--graph", g,
+         "--from", f0, "--to", str(huge)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, search))},
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(f"error: distribution file {huge} is not valid JSON: ")
+    assert "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize(
     "name, expected",
     [("binomial", 2.5), ("square", 0.8), ("star", 2.0), ("poisson", 2.0)],

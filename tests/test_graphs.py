@@ -359,6 +359,14 @@ def test_vertex_indices_must_be_integers():
         with pytest.raises(ValidationError) as info:
             DirectedGraph(labels, edges)
         assert str(info.value) == message
+    for edges, message in (
+        (((0, 1), (0, 1, 1)), "edge 1 (0, 1, 1) is not a (tail, head) pair"),
+        ((5, (1, 2)), "edge 0 5 is not a (tail, head) pair"),
+        (((0, 1), (0,)), "edge 1 (0,) is not a (tail, head) pair"),
+    ):
+        with pytest.raises(ValidationError) as info:
+            DirectedGraph(labels, edges)
+        assert str(info.value) == message
     for root in (1.5, 1.0, True, np.True_, "1"):
         with pytest.raises(ValidationError) as info:
             DirectedGraph(labels, ((0, 1), (1, 2)), root=root)

@@ -174,3 +174,134 @@ def test_w1_difference_matches_kantorovich():
     delta = np.array([3.0, -1.0, -1.0, -1.0])
     star_value = w1_difference(STAR3, delta)
     assert star_value == pytest.approx(3.0)
+
+
+PATH3 = path_graph(3)
+
+
+@pytest.mark.parametrize(
+    "delta, expected",
+    [
+        # gain parts heavier than the loss parts within the zero-sum tolerance
+        ([-1e-6, 0.0, 1e-6 + 1e-10], 2e-6),
+        ([-0.5, 0.0, 0.5 + 5e-10], 1.0),
+        ([-1e-3, 0.0, 1e-3], 2e-3),
+    ],
+)
+def test_w1_difference_couples_unnormalized_parts(delta, expected):
+    assert w1_difference(PATH3, delta) == pytest.approx(expected, rel=1e-9)
+
+
+def test_equal_endpoints_move_nothing():
+    rng = np.random.default_rng(21)
+    graph = random_connected_graph(rng, 7, 2)
+    f = random_distribution(rng, 7)
+    value, plan = w1_kantorovich(graph, f, f)
+    assert value == 0.0
+    assert np.array_equal(plan, np.diag(f))
+    assert w1_difference(graph, np.zeros(7)) == 0.0
+
+
+def test_point_masses_give_the_hop_distance():
+    rng = np.random.default_rng(22)
+    graph = random_connected_graph(rng, 9, 3)
+    metric = shortest_path_metric(graph)
+    point = np.eye(9)
+    for x, y in ((0, 8), (3, 5), (7, 1), (4, 4)):
+        value, plan = w1_kantorovich(graph, point[x], point[y])
+        assert value == metric[x, y]
+        assert plan[x, y] == 1.0 and plan.sum() == 1.0
+
+
+def test_disjoint_supports_move_everything():
+    f0 = np.array([0.5, 0.5, 0.0, 0.0])
+    f1 = np.array([0.0, 0.0, 0.25, 0.75])
+    value, plan = w1_kantorovich(CYCLE4, f0, f1)
+    metric = shortest_path_metric(CYCLE4)
+    assert value == pytest.approx(1.25, abs=1e-12)
+    assert not np.diag(plan).any()
+    assert abs(float((plan * metric).sum()) - value) <= 1e-12
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_w1_difference_scales_with_delta(seed):
+    rng = np.random.default_rng(900 + seed)
+    graph = random_connected_graph(rng, 8, 2)
+    f0 = random_distribution(rng, 8)
+    f1 = random_distribution(rng, 8)
+    value, _ = w1_kantorovich(graph, f0, f1)
+    assert abs(w1_difference(graph, 3 * (f1 - f0)) - 3 * value) <= 1e-12
+
+
+def test_coupling_lp_is_on_the_moved_mass_only(monkeypatch):
+    import got.graphs
+    import got.transport
+
+    shapes = []
+    solve = got.transport.solve_lp
+
+    def recording(lp):
+        shapes.append(lp.eq_matrix.shape)
+        return solve(lp)
+
+    def forbidden(graph):
+        raise AssertionError("the coupling LP built the full metric")
+
+    monkeypatch.setattr(got.transport, "solve_lp", recording)
+    monkeypatch.setattr(got.graphs, "shortest_path_metric", forbidden)
+    monkeypatch.setattr(got.transport, "shortest_path_metric", forbidden, raising=False)
+    f0 = np.array([0.25, 0.25, 0.25, 0.25])
+    f1 = np.array([0.05, 0.45, 0.0, 0.5])  # S = {0, 2}, T = {1, 3}
+    value, _ = w1_kantorovich(CYCLE4, f0, f1)
+    assert w1_difference(CYCLE4, f1 - f0) == value
+    assert shapes == [(4, 4), (4, 4)]
+    f1 = np.array([0.0, 0.0, 0.0, 1.0])  # S = {0, 1, 2}, T = {3}
+    w1_kantorovich(CYCLE4, f0, f1)
+    assert shapes[-1] == (4, 3)
+
+
+def _highs_coupling(graph, f0, f1):
+    """The full |V|^2 coupling LP by HiGHS, with networkx hop costs."""
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    nx = pytest.importorskip("networkx")
+    n = graph.n_vertices
+    hops = dict(nx.shortest_path_length(nx.Graph(list(graph.edges))))
+    cost = np.array([[hops[x][y] for y in range(n)] for x in range(n)], dtype=float)
+    rows = np.vstack([np.kron(np.eye(n), np.ones(n)), np.tile(np.eye(n), n)])
+    # HiGHS's default 1e-7 feasibility tolerances leave the optimum off by ~1e-7
+    res = linprog(cost.ravel(), A_eq=rows, b_eq=np.concatenate([f0, f1]),
+                  bounds=(0, None), method="highs",
+                  options={"primal_feasibility_tolerance": 1e-10,
+                           "dual_feasibility_tolerance": 1e-10})
+    assert res.status == 0, res.message
+    return float(res.fun), cost
+
+
+@pytest.mark.parametrize("pool", ["small", "large"])
+def test_coupling_matches_highs_full_lp(pool):
+    pytest.importorskip("scipy")
+    pytest.importorskip("networkx")
+    rng = np.random.default_rng(1000 if pool == "small" else 1001)
+    sizes = rng.integers(2, 31, size=30) if pool == "small" else [60, 60]
+    for n in sizes:
+        n = int(n)
+        graph = random_connected_graph(rng, n, int(rng.integers(0, n // 5 + 2)))
+        f0 = random_distribution(rng, n)
+        f1 = random_distribution(rng, n)
+        reference, cost = _highs_coupling(graph, f0, f1)
+        value, plan = w1_kantorovich(graph, f0, f1)
+        assert abs(value - reference) <= 1e-9
+        assert abs(float((plan * cost).sum()) - value) <= 1e-12
+
+
+def test_coupling_solver_error_names_the_parts(monkeypatch):
+    import got.transport
+    from got.errors import SolverError
+    from got.simplex import LPSolution
+
+    monkeypatch.setattr(
+        got.transport, "solve_lp", lambda lp: LPSolution(None, float("nan"), "infeasible", 0)
+    )
+    message = r"ended infeasible on the moved mass \(\|S\|=2, \|T\|=1\); the parts carry 0.5 and 0.5"
+    with pytest.raises(SolverError, match=message):
+        w1_difference(PATH3, [-0.25, -0.25, 0.5])

@@ -1,22 +1,26 @@
 """Static Wasserstein-1 solvers: tree tails, Beckmann flows, coupling LP.
 
 Three independent routes to the same number. The coupling LP, on the
-mass that moves, is the oracle; the tree closed form sums tail
-differences; the Beckmann formulation finds a minimal-total-flow edge
-vector balancing the endpoint difference. Flows convert to time-constant
-velocity/edge-distribution pairs for the dynamic machinery.
+mass that moves, is the oracle: a transportation problem solved by the
+network simplex and certified by its potentials. The tree closed form
+sums tail differences; the Beckmann formulation finds, through the dense
+simplex, a minimal-total-flow edge vector balancing the endpoint
+difference. Flows convert to time-constant velocity/edge-distribution
+pairs for the dynamic machinery.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from ._network import network_simplex
 from .errors import SolverError, ValidationError, _floats
 from .graphs import DirectedGraph, _bfs, _net_inflow, _require_tree, tree_flow
 from .measures import EdgePairPath, _constant_speed_rows, vertex_distribution
 from .simplex import LinearProgram, solve_lp
 
 PLAN_TOL = 1e-8
+GAP_TOL = 1e-9
 BALANCE_TOL = 1e-8
 ZERO_SUM_TOL = 1e-9  # a difference vector's sum; see measures.SUM_TOL
 
@@ -43,7 +47,8 @@ def w1_kantorovich(
 
     The oracle the other methods are checked against. The common mass
     min(f0, f1) stays in place at no cost, so only the moved mass f1 - f0
-    is coupled, by ``w1_difference``'s transportation LP. Returns the
+    is coupled, by ``w1_difference``'s transportation problem, which the
+    network simplex solves and its potentials certify. Returns the
     optimal value and one optimal plan: diag(min(f0, f1)) plus the moved
     mass's plan on its source and target vertices.
     """
@@ -115,34 +120,61 @@ def _couple_moved_mass(
 ) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
     """Send the loss part of a balanced delta to its gain part at least cost.
 
-    The transportation LP between S = supp(delta < 0) and T = supp(delta > 0)
-    has one variable per pair in S x T, one row per vertex of S and of T,
-    and hop costs from one breadth-first traversal per source. Returns the
-    value, S, T and the |S| x |T| plan; an empty S or T moves nothing.
+    The transportation problem between S = supp(delta < 0) and
+    T = supp(delta > 0), with one arc per pair in S x T and hop costs from
+    one breadth-first traversal per source, goes through the network
+    simplex. Its result is certified from the inputs and the final
+    potentials alone: a non-negative plan whose marginals match the parts
+    within PLAN_TOL, cost + potential[s] - potential[t] >= 0 on every pair
+    (exact, in integers), and a duality gap <reduced cost, plan> within
+    GAP_TOL. Returns the value, S, T and the |S| x |T| plan; an empty S or
+    T moves nothing.
     """
     sources, targets = np.flatnonzero(delta < 0), np.flatnonzero(delta > 0)
     s, t = sources.size, targets.size
     if s == 0 or t == 0:
         return 0.0, sources, targets, np.zeros((s, t))
-    cost = np.array([_bfs(graph, int(x))[3] for x in sources])
-    # row i: the pairs leaving source i; row s + j: the pairs entering target j
-    A = np.vstack([np.kron(np.eye(s), np.ones(t)), np.tile(np.eye(t), s)])
+    cost = np.array([_bfs(graph, int(x))[3] for x in sources])[:, targets]
     loss, gain = -delta[sources], delta[targets]
-    lp = LinearProgram(cost[:, targets].ravel(), A, np.concatenate([loss, gain]))
-    solution = solve_lp(lp)
-    if solution.status != "optimal":
-        raise SolverError(
-            f"coupling LP ended {solution.status} on the moved mass (|S|={s}, "
-            f"|T|={t}); the parts carry {loss.sum():.12g} and {gain.sum():.12g}"
+    where = (
+        f"on the moved mass (|S|={s}, |T|={t}); the parts carry "
+        f"{loss.sum():.12g} and {gain.sum():.12g}"
+    )
+    # node i is source i and node s + j target j; arc i * t + j joins them
+    tail, head = np.divmod(np.arange(s * t), t)
+    try:
+        flow, potential, _ = network_simplex(
+            s + t, tail, head + s, cost.ravel(), np.concatenate([loss, -gain])
         )
-    return solution.objective_value, sources, targets, solution.x.reshape(s, t)
+    except SolverError as exc:
+        raise SolverError(f"coupling ended infeasible {where}: {exc}") from exc
+    plan = flow.reshape(s, t)
+    lowest = float(plan.min())
+    off = max(
+        float(np.abs(plan.sum(axis=1) - loss).max()),
+        float(np.abs(plan.sum(axis=0) - gain).max()),
+    )
+    if lowest < 0.0 or off > PLAN_TOL:
+        raise SolverError(
+            f"coupling ended infeasible {where}: min plan entry {lowest:.3e}, "
+            f"marginals off by {off:.3e}"
+        )
+    reduced = cost + potential[:s, None] - potential[None, s:]
+    gap = float((reduced * plan).sum())
+    if reduced.min() < 0 or gap > GAP_TOL:
+        raise SolverError(
+            f"coupling ended unproven {where}: min reduced cost "
+            f"{reduced.min()}, duality gap {gap:.3e}"
+        )
+    return float(cost.ravel() @ flow), sources, targets, plan
 
 
 def w1_difference(graph: DirectedGraph, delta: np.ndarray) -> float:
     """W1 of a signed balanced difference vector, by the coupling LP.
 
     Couples the loss part max(-delta, 0) to the gain part max(delta, 0)
-    over hop distances, so for delta = f1 - f0 it equals
+    over hop distances, through the network simplex, whose plan its final
+    potentials certify; so for delta = f1 - f0 it equals
     w1_kantorovich(f0, f1), and it scales with delta. Returns exactly 0.0
     when either part is empty.
     """

@@ -238,16 +238,17 @@ def test_coupling_lp_is_on_the_moved_mass_only(monkeypatch):
     import got.transport
 
     shapes = []
-    solve = got.transport.solve_lp
+    solve = got.transport.network_simplex
 
-    def recording(lp):
-        shapes.append(lp.eq_matrix.shape)
-        return solve(lp)
+    def recording(n_nodes, tail, head, cost, supply):
+        shapes.append((n_nodes, len(tail)))
+        return solve(n_nodes, tail, head, cost, supply)
 
-    def forbidden(graph):
-        raise AssertionError("the coupling LP built the full metric")
+    def forbidden(*args):
+        raise AssertionError("the coupling built the full metric or a dense LP")
 
-    monkeypatch.setattr(got.transport, "solve_lp", recording)
+    monkeypatch.setattr(got.transport, "network_simplex", recording)
+    monkeypatch.setattr(got.transport, "solve_lp", forbidden)
     monkeypatch.setattr(got.graphs, "shortest_path_metric", forbidden)
     monkeypatch.setattr(got.transport, "shortest_path_metric", forbidden, raising=False)
     f0 = np.array([0.25, 0.25, 0.25, 0.25])
@@ -297,11 +298,164 @@ def test_coupling_matches_highs_full_lp(pool):
 def test_coupling_solver_error_names_the_parts(monkeypatch):
     import got.transport
     from got.errors import SolverError
-    from got.simplex import LPSolution
 
+    # a plan that moves nothing: the engine's result fails the certificate
     monkeypatch.setattr(
-        got.transport, "solve_lp", lambda lp: LPSolution(None, float("nan"), "infeasible", 0)
+        got.transport,
+        "network_simplex",
+        lambda n, tail, head, cost, supply: (np.zeros(len(tail)), np.zeros(n, np.int64), 0),
     )
     message = r"ended infeasible on the moved mass \(\|S\|=2, \|T\|=1\); the parts carry 0.5 and 0.5"
     with pytest.raises(SolverError, match=message):
         w1_difference(PATH3, [-0.25, -0.25, 0.5])
+
+
+def _dense_moved_mass(graph, delta):
+    """The moved-mass transportation LP through the dense two-phase simplex."""
+    from got.simplex import LinearProgram, solve_lp
+
+    sources, targets = np.flatnonzero(delta < 0), np.flatnonzero(delta > 0)
+    s, t = sources.size, targets.size
+    if s == 0 or t == 0:
+        return 0.0
+    cost = shortest_path_metric(graph)[np.ix_(sources, targets)]
+    rows = np.vstack([np.kron(np.eye(s), np.ones(t)), np.tile(np.eye(t), s)])
+    rhs = np.concatenate([-delta[sources], delta[targets]])
+    solution = solve_lp(LinearProgram(cost.ravel(), rows, rhs))
+    assert solution.status == "optimal"
+    return solution.objective_value
+
+
+def _pool_pair(rng, family, n):
+    """Endpoint distributions of one differential pool."""
+    if family == "random":
+        return random_distribution(rng, n), random_distribution(rng, n)
+    if family == "equal":
+        f = random_distribution(rng, n)
+        return f, f.copy()
+    if family == "points":
+        point = np.eye(n)
+        return point[int(rng.integers(n))], point[int(rng.integers(n))]
+    if family == "disjoint":
+        side = rng.permutation(n) < max(1, n // 2)
+        f0, f1 = np.where(side, rng.random(n), 0.0), np.where(side, 0.0, rng.random(n))
+        return f0 / f0.sum(), f1 / f1.sum()
+    # uniform masses on random supports: many tied, degenerate pivots
+    f0 = (rng.random(n) < 0.6).astype(float)
+    f0[int(rng.integers(n))] = 1.0
+    f1 = np.ones(n)
+    return f0 / f0.sum(), f1 / f1.sum()
+
+
+@pytest.mark.parametrize(
+    "seed, family", enumerate(["random", "equal", "points", "disjoint", "uniform"])
+)
+def test_network_simplex_matches_the_dense_simplex(seed, family):
+    rng = np.random.default_rng(1600 + seed)
+    for _ in range(60):
+        n = int(rng.integers(2, 13))
+        graph = random_connected_graph(rng, n, int(rng.integers(0, 4)))
+        f0, f1 = _pool_pair(rng, family, n)
+        value, plan = w1_kantorovich(graph, f0, f1)
+        assert abs(value - _dense_moved_mass(graph, f1 - f0)) <= 1e-12
+        metric = shortest_path_metric(graph)
+        assert abs(float((plan * metric).sum()) - value) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "delta, expected", [([-0.5, 0.0, 0.5 + 5e-10], 1.0), ([-1e-6, 0.0, 1e-6 + 1e-10], 2e-6)]
+)
+def test_network_simplex_leaves_only_the_imbalance(delta, expected):
+    from got._network import network_simplex
+    from got.errors import SolverError
+
+    assert w1_difference(PATH3, delta) == expected
+    supply = np.array([-delta[0], -delta[2]])
+    arc = np.array([0]), np.array([1]), np.array([2])  # tail, head, cost
+    flow, potential, pivots = network_simplex(2, *arc, supply)
+    assert flow[0] == -delta[0] and pivots == 1
+    assert potential[1] - potential[0] == 2
+    with pytest.raises(SolverError, match="artificial arcs"):
+        network_simplex(2, *arc, supply + [0, -2e-9])
+
+
+def test_network_simplex_rejects_a_negative_cycle():
+    from got._network import network_simplex
+    from got.errors import SolverError
+
+    with pytest.raises(SolverError, match="negative-cost cycle"):
+        network_simplex(2, np.array([0, 1]), np.array([1, 0]), np.array([-1, 0]), np.zeros(2))
+
+
+PATH4 = path_graph(4)
+
+
+@pytest.mark.parametrize("broken", ["plan", "potentials"])
+def test_coupling_certificate_rejects_a_non_optimal_result(monkeypatch, broken):
+    import got.transport
+    from got.errors import SolverError
+
+    solve = got.transport.network_simplex
+
+    def non_optimal(n_nodes, tail, head, cost, supply):
+        flow, potential, pivots = solve(n_nodes, tail, head, cost, supply)
+        if broken == "plan":
+            # S = {0, 2}, T = {1, 3}: 0 -> 3 and 2 -> 1 is feasible and costs 2, not 1
+            return np.array([0.0, 0.5, 0.5, 0.0]), potential, pivots
+        return flow, potential + np.arange(n_nodes), pivots
+
+    monkeypatch.setattr(got.transport, "network_simplex", non_optimal)
+    message = r"cost 0, duality gap 1\.000e\+00" if broken == "plan" else "min reduced cost -2"
+    with pytest.raises(SolverError, match=rf"ended unproven on the moved mass .*{message}"):
+        w1_difference(PATH4, [-0.5, 0.5, -0.5, 0.5])
+
+
+def _highs_beckmann(graph, delta):
+    """Beckmann's minimal flow by HiGHS, on the edge list alone."""
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    tail, head = np.array(graph.edges).T
+    m = graph.n_edges
+    omega = np.zeros((graph.n_vertices, m))
+    omega[head, np.arange(m)] = 1.0
+    omega[tail, np.arange(m)] = -1.0
+    res = linprog(np.ones(2 * m), A_eq=np.hstack([omega, -omega]), b_eq=delta,
+                  bounds=(0, None), method="highs",
+                  options={"primal_feasibility_tolerance": 1e-10,
+                           "dual_feasibility_tolerance": 1e-10})
+    assert res.status == 0, res.message
+    return float(res.fun)
+
+
+def _grid(k):
+    edges = [(v, v + 1) for v in range(k * k) if (v + 1) % k]
+    edges += [(v, v + k) for v in range(k * k - k)]
+    return DirectedGraph(tuple(str(v) for v in range(k * k)), tuple(edges))
+
+
+def test_coupling_at_scale_matches_highs_and_repeats_bit_for_bit(monkeypatch):
+    import got.transport
+
+    pytest.importorskip("scipy")
+    rng = np.random.default_rng(1700)
+    graphs = [random_connected_graph(rng, n, n // 10) for n in (120, 200)] + [_grid(12)]
+    instances = [
+        (g, random_distribution(rng, g.n_vertices), random_distribution(rng, g.n_vertices))
+        for g in graphs
+    ]
+    for graph, f0, f1 in instances:
+        value, _ = w1_kantorovich(graph, f0, f1)
+        assert abs(value - _highs_beckmann(graph, f1 - f0)) <= 1e-9
+
+    solve, results = got.transport.network_simplex, []
+
+    def recording(*args):
+        results.append(solve(*args))
+        return results[-1]
+
+    monkeypatch.setattr(got.transport, "network_simplex", recording)
+    graph, f0, f1 = instances[0]
+    (first, plan), (second, again) = w1_kantorovich(graph, f0, f1), w1_kantorovich(graph, f0, f1)
+    assert first == second and np.array_equal(plan, again)
+    (flow, potential, pivots), (flow2, potential2, pivots2) = results
+    assert np.array_equal(flow, flow2) and np.array_equal(potential, potential2)
+    assert pivots == pivots2 > 0

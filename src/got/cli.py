@@ -32,7 +32,7 @@ EXIT_SOLVER = 2
 EXIT_VERIFY_FAIL = 3
 
 METHODS = ("tree", "beckmann", "kantorovich", "benamou", "auto")
-MODES = ("convex", "beckmann-flow")
+MODES = ("convex",)
 
 
 class _UsageError(Exception):
@@ -130,8 +130,7 @@ def cmd_geodesic(args) -> int:
     graph = load_graph(args.graph)
     f0 = load_distribution(args.from_path, graph)
     f1 = load_distribution(args.to_path, graph)
-    mode = args.mode.replace("-", "_")
-    path = geodesic(graph, f0, f1, TimeGrid(args.steps), mode=mode)
+    path = geodesic(graph, f0, f1, TimeGrid(args.steps), mode=args.mode)
     try:
         with open(args.out, "w") as fh:
             fh.write("t,vertex,mass\n")

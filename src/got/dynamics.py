@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError, _floats
-from .graphs import DirectedGraph, SpanningTreeDecomposition, _net_inflow, tree_flow
+from .graphs import DirectedGraph, SpanningTreeDecomposition, tree_flow
+from .graphs import _net_inflow, _on_edges
 from .measures import (
     EdgePairPath,
     TimeGrid,
@@ -24,7 +25,6 @@ from .measures import (
     _constant_speed_rows,
     convex_interpolation,
     differentiate_path,
-    integrate_pair,
     tails,
     vertex_distribution,
     zero_pair,
@@ -90,25 +90,16 @@ def energy(pair: EdgePairPath, q: float) -> EnergyReport:
 
 
 def _tail_flux(tree: DirectedGraph, path: VertexPath) -> np.ndarray:
-    """Per interval, the flux v*g that drives the path on the tree.
-
-    On each edge it is the tail difference at the edge's deeper endpoint
-    over the interval length, negated when the edge points toward the
-    root, as its flux then leaves that endpoint's subtree.
-    """
+    """Per interval, the flux v*g that drives the path on the tree: the
+    tail difference over the interval length, read onto the edges."""
     dFdt = np.diff(tails(tree, path.samples), axis=0) / path.durations[:, None]
-    tail, head = tree._endpoints
-    depth = np.array(tree._traversal[3], dtype=np.int64)
-    inward = depth[tail] > depth[head]
-    flux = dFdt[:, np.where(inward, tail, head)]
-    flux[:, inward] *= -1.0
-    return flux
+    return _on_edges(tree, dFdt)
 
 
 def tail_pde_check(triple: Triple, tree: DirectedGraph) -> TailResidualReport:
-    """Residual of the tail form: the tail derivative at each edge's deeper
-    endpoint, negated on edges that point toward the root, must equal v*g
-    on that edge."""
+    """Residual of the tail form: on each edge, the tail derivative at the
+    endpoint farther from the root, negated when that endpoint is the
+    edge's tail, must equal v*g (the graph's tree-edge table)."""
     if triple.pair.n_edges != tree.n_edges:
         raise ValidationError(
             f"pair has {triple.pair.n_edges} edges, expected {tree.n_edges}"
@@ -126,9 +117,10 @@ def constant_speed_solution_tree(
     """The canonical pair driving a vertex path on a tree.
 
     Edges may point either way. Per interval, v*g on an edge equals the
-    tail difference at the edge's deeper endpoint over the interval
-    length, negated on edges that point toward the root; factored at
-    constant speed, so the resulting triple satisfies the transport
+    tail difference at the endpoint farther from the root over the
+    interval length, negated when that endpoint is the edge's tail (the
+    graph's tree-edge table, as for ``tree_flow``); factored at constant
+    speed, so the resulting triple satisfies the transport
     equation exactly and the edge masses sum to one.
     """
     v, g = _constant_speed_rows(_tail_flux(tree, path))
@@ -146,7 +138,8 @@ def constant_speed_solution_graph(
     P (f1 - f0) is the decomposition's spanning-tree flow, computed in
     O(|V|) by ``tree_flow`` without the dense right inverse. ``epsilon``
     must lie in the kernel of the incidence matrix (a signed
-    circulation); it parameterizes the family of solutions on graphs with
+    circulation), within CIRCULATION_TOL times its largest entry (at
+    least 1); it parameterizes the family of solutions on graphs with
     cycles. The returned pair minimizes the energy among all pairs with
     the same flux integral, for every exponent q.
     """
@@ -156,7 +149,8 @@ def constant_speed_solution_graph(
     f1 = vertex_distribution(f1, n)
     epsilon = _floats(np.zeros(m) if epsilon is None else epsilon, m, "cycle vector")
     drift = float(np.abs(_net_inflow(graph, epsilon)).max())
-    if drift > CIRCULATION_TOL:
+    # relative to epsilon's size: its entries carry round-off of that size
+    if drift > CIRCULATION_TOL * np.abs(epsilon).max(initial=1.0):
         raise ValidationError(
             f"epsilon is not a circulation: incidence . epsilon reaches {drift:.3e}"
         )
@@ -210,20 +204,16 @@ def geodesic(
 ) -> VertexPath:
     """Constant-speed path from f0 to f1 sampled on the grid.
 
-    ``convex`` interpolates the endpoints directly; ``beckmann_flow``
-    integrates the constant pair of a minimal flow. The two agree up to
-    solver round-off because the flow's flux is constant in time.
+    ``convex``, the only mode, interpolates the endpoints directly; any
+    minimal flow's constant pair integrates to the same path, as its flux
+    is constant in time.
     """
     n = graph.n_vertices
     f0 = vertex_distribution(f0, n)
     f1 = vertex_distribution(f1, n)
-    if mode == "convex":
-        return convex_interpolation(f0, f1, grid)
-    if mode == "beckmann_flow":
-        _, flow = w1_beckmann(graph, f0, f1)
-        pair = flow_to_constant_pair(flow, grid.steps)
-        return integrate_pair(f0, pair, graph.incidence)
-    raise ValidationError(f"unknown geodesic mode {mode!r}")
+    if mode != "convex":
+        raise ValidationError(f"unknown geodesic mode {mode!r}")
+    return convex_interpolation(f0, f1, grid)
 
 
 def reverse_pair(pair: EdgePairPath) -> EdgePairPath:

@@ -130,6 +130,19 @@ class DirectedGraph:
     def _sweep(self) -> _Sweep:
         return _leaves_to_root(self)
 
+    @cached_property
+    def _tree_edge_table(self) -> tuple[np.ndarray, np.ndarray]:
+        # per edge: its carrier, the endpoint farther from the root in the
+        # breadth-first tree, and its sign, +1.0 when the carrier is the
+        # head, -1.0 when it is the tail, 0.0 off the tree (read-only)
+        _, _, parent_edge, depth = np.array(self._traversal, dtype=np.int64)
+        tail, head = self._endpoints
+        carrier = np.where(depth[tail] > depth[head], tail, head)
+        # a tree edge is the parent edge of its carrier
+        in_tree = parent_edge[carrier] == np.arange(self.n_edges)
+        sign = np.where(in_tree, np.where(carrier == head, 1.0, -1.0), 0.0)
+        return _frozen(carrier), _frozen(sign)
+
     def is_tree(self) -> bool:
         return self.n_edges == self.n_vertices - 1
 
@@ -205,24 +218,28 @@ def _subtree_sums(graph: DirectedGraph, mass: np.ndarray) -> np.ndarray:
     return mass
 
 
+def _on_edges(graph: DirectedGraph, by_vertex: np.ndarray) -> np.ndarray:
+    """Each edge's entry of a per-vertex vector or (rows x |V|) stack.
+
+    An edge reads its carrier's entry times its sign from the tree-edge
+    table: signed by orientation on the tree, zero off it.
+    """
+    carrier, sign = graph._tree_edge_table
+    return by_vertex[..., carrier] * sign
+
+
 def tree_flow(graph: DirectedGraph, delta) -> np.ndarray:
     """The flow P . delta of the graph's breadth-first spanning tree.
 
-    On the tree edge ``parent_edge[x]`` it is the mass of ``delta`` summed
-    over x's subtree, with sign + when the edge's head is x; non-tree
-    edges carry 0. For ``delta`` summing to zero its net inflow at every
-    vertex is ``delta``. Takes one vector over the vertices or a stack of
-    them, one row each, in O(|V|) per row.
+    On each tree edge it is the mass of ``delta`` summed over the subtree
+    of the edge's deeper endpoint, with sign + when the edge's head is
+    that endpoint; non-tree edges carry (possibly negative) zero. For
+    ``delta`` summing to zero its net inflow at every vertex is
+    ``delta``. Takes one vector over the vertices or a stack of them, one
+    row each, in O(|V|) per row.
     """
     D = _floats(delta, graph.n_vertices, "delta", rows=True)
-    sums = _subtree_sums(graph, D)
-    order, _, parent_edge, _ = graph._traversal
-    kids = np.array(order[1:], dtype=np.int64)
-    edges = np.array(parent_edge, dtype=np.int64)[kids]
-    sign = np.where(graph._endpoints[1][edges] == kids, 1.0, -1.0)
-    flow = np.zeros(D.shape[:-1] + (graph.n_edges,))
-    flow[..., edges] = sign * sums[..., kids]
-    return flow
+    return _on_edges(graph, _subtree_sums(graph, D))
 
 
 def build_incidence(graph: DirectedGraph) -> np.ndarray:
@@ -278,8 +295,7 @@ def _require_tree(graph: DirectedGraph) -> None:
     if graph.is_tree():
         return
     # connected with |E| > |V|-1: an edge the traversal skipped closes a cycle
-    taken = set(graph._traversal[2])
-    extra = next(k for k in range(graph.n_edges) if k not in taken)
+    extra = int(np.flatnonzero(graph._tree_edge_table[1] == 0.0)[0])
     tail, head = graph.edges[extra]
     raise ValidationError(
         f"not a tree: edge {extra} "
@@ -296,9 +312,11 @@ class SpanningTreeDecomposition:
     built on first access, then cached read-only. ``right_inverse`` P
     satisfies omega-with-dropped-row . P = identity; its column for
     vertex y routes a unit of mass from the dropped vertex to y along
-    tree edges, signed by orientation. ``cycle_basis`` rows span the
-    kernel of the full incidence matrix, one row per non-tree edge
-    (coefficient +1 there, tree edges closing the cycle elsewhere).
+    tree edges, each entry the edge's sign in the graph's tree-edge
+    table; ``nontree_edges`` are the edges of sign 0, ascending.
+    ``cycle_basis`` rows span the kernel of the full incidence matrix, one
+    row per non-tree edge (coefficient +1 there, tree edges closing the
+    cycle elsewhere).
     """
 
     graph: DirectedGraph
@@ -315,14 +333,14 @@ class SpanningTreeDecomposition:
     def right_inverse(self) -> np.ndarray:
         graph, dropped = self.graph, self.dropped_vertex
         _, parent_vertex, parent_edge, _ = graph._traversal
+        sign = graph._tree_edge_table[1]
         column_of = {v: i for i, v in enumerate(self.kept_vertices)}
         P = np.zeros((graph.n_edges, len(self.kept_vertices)))
         for y in self.kept_vertices:
             x = y
             while x != dropped:
                 k = parent_edge[x]
-                _, head = graph.edges[k]
-                P[k, column_of[y]] = 1.0 if head == x else -1.0
+                P[k, column_of[y]] = sign[k]
                 x = parent_vertex[x]
         return _frozen(P)
 
@@ -348,13 +366,12 @@ def spanning_tree_decomposition(graph: DirectedGraph) -> SpanningTreeDecompositi
     """
     dropped = graph.effective_root
     order, _, parent_edge, _ = graph._traversal
-    tree_edges = tuple(parent_edge[y] for y in order[1:])
-    in_tree = set(tree_edges)
+    off_tree = np.flatnonzero(graph._tree_edge_table[1] == 0.0)
     return SpanningTreeDecomposition(
         graph=graph,
         dropped_vertex=dropped,
-        tree_edges=tree_edges,
-        nontree_edges=tuple(k for k in range(graph.n_edges) if k not in in_tree),
+        tree_edges=tuple(parent_edge[y] for y in order[1:]),
+        nontree_edges=tuple(off_tree.tolist()),
         kept_vertices=tuple(v for v in range(graph.n_vertices) if v != dropped),
     )
 

@@ -313,7 +313,7 @@ def test_mass_tolerance_keeps_the_solvers_feasible(tmp_path, capsys):
             assert values[0] == pytest.approx(2.0, abs=1e-8)
         code = cli.main(
             ["geodesic", "--graph", g, "--from", f0, "--to", f1, "--steps", "3",
-             "--mode", "beckmann-flow", "--out", str(tmp_path / "geo.csv")]
+             "--out", str(tmp_path / "geo.csv")]
         )
         assert code == (0 if accepted else 1)
         capsys.readouterr()
@@ -395,6 +395,9 @@ def test_library_checks_reach_the_command_line(cycle_files, tmp_path, capsys):
          f"time grid needs fewer than {np.iinfo(np.intp).max} steps"),
         (["examples", "cauchy"],
          "unknown example 'cauchy'; choose one of binomial, poisson, star, square"),
+        (["geodesic", "--graph", g, "--from", f0, "--to", f1, "--mode",
+          "beckmann-flow", "--out", out],
+         "unknown mode 'beckmann-flow'; choose one of convex"),
     ]
     for argv, message in cases:
         assert cli.main(argv) == 1
@@ -410,7 +413,7 @@ def test_geodesic_round_trip_through_verify(tmp_path, cycle_files, capsys):
     steps = 5
     assert cli.main(
         ["geodesic", "--graph", g, "--from", f0, "--to", f1,
-         "--steps", str(steps), "--mode", "beckmann-flow", "--out", str(out)]
+         "--steps", str(steps), "--out", str(out)]
     ) == 0
     capsys.readouterr()
 

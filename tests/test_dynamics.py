@@ -292,6 +292,22 @@ def test_constant_speed_graph_rejects_non_circulation():
             )
 
 
+def test_circulation_check_scales_with_epsilon():
+    # a true circulation of size 1e7 drifts by round-off of that size; a
+    # unit change on one edge at the same scale is still no circulation
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        graph = random_connected_graph(rng, 30, 6)
+        decomp = spanning_tree_decomposition(graph)
+        epsilon = (rng.normal(size=decomp.nullity) * 1e7) @ decomp.cycle_basis
+        f0 = random_distribution(rng, 30)
+        f1 = random_distribution(rng, 30)
+        constant_speed_solution_graph(decomp, f0, f1, epsilon)
+        epsilon[0] += 1.0
+        with pytest.raises(ValidationError, match="not a circulation"):
+            constant_speed_solution_graph(decomp, f0, f1, epsilon)
+
+
 def test_reduced_constraint_examples():
     omega = build_incidence(CYCLE4)
     _, J = w1_beckmann(CYCLE4, F0_CYCLE, F1_CYCLE)
@@ -331,15 +347,17 @@ def test_benamou_distance_cycle():
 
 def test_geodesic_endpoints_and_modes():
     grid = TimeGrid(4)
-    for mode in ("convex", "beckmann_flow"):
-        path = geodesic(CYCLE4, F0_CYCLE, F1_CYCLE, grid, mode=mode)
-        assert np.abs(path.samples[0] - F0_CYCLE).max() <= 1e-12
-        assert np.abs(path.samples[-1] - F1_CYCLE).max() <= 1e-8
     convex = geodesic(CYCLE4, F0_CYCLE, F1_CYCLE, grid, mode="convex")
-    flow = geodesic(CYCLE4, F0_CYCLE, F1_CYCLE, grid, mode="beckmann_flow")
-    assert np.abs(convex.samples - flow.samples).max() <= 1e-9
-    with pytest.raises(ValidationError):
-        geodesic(CYCLE4, F0_CYCLE, F1_CYCLE, grid, mode="line")
+    assert np.abs(convex.samples[0] - F0_CYCLE).max() <= 1e-12
+    assert np.abs(convex.samples[-1] - F1_CYCLE).max() <= 1e-12
+    # the minimal flow's constant pair integrates to the same path
+    _, flow = w1_beckmann(CYCLE4, F0_CYCLE, F1_CYCLE)
+    pair = flow_to_constant_pair(flow, grid.steps)
+    integrated = integrate_pair(F0_CYCLE, pair, CYCLE4.incidence)
+    assert np.abs(convex.samples - integrated.samples).max() <= 1e-9
+    for mode in ("line", "beckmann_flow"):
+        with pytest.raises(ValidationError, match="unknown geodesic mode"):
+            geodesic(CYCLE4, F0_CYCLE, F1_CYCLE, grid, mode=mode)
 
 
 @pytest.mark.parametrize("seed", range(4))

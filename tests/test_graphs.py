@@ -1,6 +1,9 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import got
 from got.errors import ValidationError
 from got.generators import random_connected_graph, random_tree
 from got.graphs import (
@@ -267,6 +270,36 @@ def test_cached_tree_structure_is_shared_and_immutable():
     with pytest.raises(ValueError):
         head[0] = 0
     assert DirectedGraph(("a",), ())._endpoints[0].shape == (0,)
+
+
+def test_tree_edge_table():
+    # each edge is read at its endpoint farther from the root: sign +1 when
+    # that is its head, -1 when it is its tail, 0 off the breadth-first tree
+    graph = DirectedGraph(CYCLE4.labels, ((1, 0), (1, 2), (3, 2), (0, 3)), root=0)
+    carrier, sign = graph._tree_edge_table
+    assert graph._tree_edge_table[1] is sign
+    assert carrier.dtype == np.int64
+    assert carrier.tolist() == [1, 2, 2, 3] and sign.tolist() == [-1.0, 1.0, 0.0, 1.0]
+    with pytest.raises(ValueError):
+        sign[0] = 1.0
+    assert rerooted(graph, 2)._tree_edge_table[1].tolist() == [1.0, -1.0, -1.0, 0.0]
+    carrier, sign = DirectedGraph(("a",), ())._tree_edge_table
+    assert carrier.shape == sign.shape == (0,)
+
+
+def test_no_module_reads_the_tree_rule_beside_graphs():
+    # the traversal, the edge arrays and the tree-edge table derived from
+    # them are read only in graphs.py; other modules call its functions
+    patterns = ("._traversal", "._endpoints", "._sweep", "._adjacency",
+                "._tree_edge_table")
+    offenders = [
+        f"{path.name}:{number}: {line.strip()}"
+        for path in sorted(Path(got.__file__).parent.glob("*.py"))
+        if path.name != "graphs.py"
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if any(pattern in line for pattern in patterns)
+    ]
+    assert offenders == []
 
 
 def _check_tree_flow(graph, rng):

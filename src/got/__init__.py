@@ -30,7 +30,6 @@ from .graphs import (
     gradient,
     graph_from_json,
     graph_to_json,
-    laplacian,
     load_graph,
     shortest_path_metric,
     spanning_tree_decomposition,
@@ -54,7 +53,6 @@ from .measures import (
     vertex_distribution,
     zero_pair,
 )
-from .simplex import LinearProgram, LPSolution, solve_lp
 from .transport import (
     beckmann_flow,
     flow_to_constant_pair,

@@ -13,9 +13,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import SolverError
+from .errors import SolverError, _tolerance
 
-# the artificial arcs may end up carrying at most the supplies' imbalance
+# the artificial arcs may end up carrying at most the supplies' imbalance,
+# scaled by the largest supply (errors._tolerance)
 FEAS_TOL = 1e-9
 
 
@@ -29,7 +30,8 @@ def network_simplex(
     """Minimise cost . flow over flow >= 0 with net outflow ``supply`` per node.
 
     ``tail``, ``head`` and non-negative integer ``cost`` hold one entry per
-    arc, ``supply`` one float per node, summing to zero within FEAS_TOL.
+    arc, ``supply`` one float per node, summing to zero within FEAS_TOL
+    times max(1, its largest magnitude).
     Returns (flow, potential, pivots): the arc flows; integer node
     potentials with cost + potential[tail] - potential[head] >= 0 on every
     arc, and = 0 on every arc that carries flow; and the pivot count. The
@@ -118,7 +120,7 @@ def network_simplex(
         pivots += 1
 
     residue = sum(flow[n_arcs:])
-    if residue > FEAS_TOL:
+    if residue > _tolerance(FEAS_TOL, supply):
         raise SolverError(
             f"network simplex left {residue:.3e} of supply on its artificial arcs"
         )

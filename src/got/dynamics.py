@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, _floats
+from .errors import ValidationError, _floats, _tolerance
 from .graphs import DirectedGraph, SpanningTreeDecomposition, tree_flow
 from .graphs import _net_inflow, _on_edges
 from .measures import (
@@ -150,7 +150,7 @@ def constant_speed_solution_graph(
     epsilon = _floats(np.zeros(m) if epsilon is None else epsilon, m, "cycle vector")
     drift = float(np.abs(_net_inflow(graph, epsilon)).max())
     # relative to epsilon's size: its entries carry round-off of that size
-    if drift > CIRCULATION_TOL * np.abs(epsilon).max(initial=1.0):
+    if drift > _tolerance(CIRCULATION_TOL, epsilon):
         raise ValidationError(
             f"epsilon is not a circulation: incidence . epsilon reaches {drift:.3e}"
         )

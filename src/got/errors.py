@@ -1,4 +1,5 @@
-"""Exceptions shared across the package, and the readers of outside values."""
+"""Exceptions shared across the package, the readers of outside values, and
+the one rule that scales a tolerance with the numbers it checks."""
 
 import numbers
 
@@ -27,6 +28,15 @@ def _is_index(value) -> bool:
     return type(value) is int or (
         isinstance(value, numbers.Integral) and not isinstance(value, bool)
     )
+
+
+def _tolerance(tol: float, values) -> float:
+    """``tol`` times max(1, the largest magnitude in ``values``).
+
+    A balance or residual check compares round-off, which grows with the
+    numbers summed; up to magnitude 1 the tolerance is ``tol`` itself.
+    """
+    return tol * float(np.abs(values).max(initial=1.0))
 
 
 def _floats(

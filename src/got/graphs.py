@@ -28,9 +28,20 @@ class DirectedGraph:
     """A finite simple connected graph with a fixed edge orientation.
 
     Edge endpoints and ``root`` are vertex indices: ints or numpy
-    integers, never bools or floats. ``root`` is optional; tree operations
-    and the dropped row of the incidence system fall back to vertex 0
-    when it is unset.
+    integers, never bools or floats, stored as ints. ``root`` is optional;
+    tree operations and the dropped row of the incidence system fall back
+    to vertex 0 when it is unset.
+
+    Construction checks, in this order: at least one label, distinct
+    labels, an integer root, the root in range; then one pass over the
+    edges in order, each a (tail, head) pair of integers, in range, not a
+    self-loop and not a duplicate of an earlier pair either way round;
+    last, that the root reaches every vertex. The first failed check
+    raises ValidationError. The same pass keeps ``_adjacency`` (per
+    vertex, (neighbour, edge index) in ascending edge index) and
+    ``_endpoints`` (the read-only int64 tail and head arrays), and the
+    connectivity check keeps ``_traversal``, the breadth-first traversal
+    from the root (see ``_bfs``).
     """
 
     labels: tuple[str, ...]
@@ -38,8 +49,20 @@ class DirectedGraph:
     root: int | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "labels", tuple(str(l) for l in self.labels))
-        edges = []
+        labels = tuple(str(l) for l in self.labels)
+        n, root = len(labels), self.root
+        if n == 0:
+            raise ValidationError("graph needs at least one vertex")
+        if len(set(labels)) != n:
+            raise ValidationError("vertex labels must be distinct")
+        if root is not None:
+            if not _is_index(root):
+                raise ValidationError(f"root {root!r} is not an integer vertex index")
+            if not 0 <= root < n:
+                raise ValidationError("root vertex out of range")
+            root = int(root)
+        edges, seen = [], set()
+        adjacency: list[list[tuple[int, int]]] = [[] for _ in labels]
         for k, edge in enumerate(self.edges):
             try:
                 tail, head = edge
@@ -52,40 +75,33 @@ class DirectedGraph:
                     f"edge {k} ({tail!r}, {head!r}) has a vertex index "
                     "that is not an integer"
                 )
-            edges.append((int(tail), int(head)))
-        object.__setattr__(self, "edges", tuple(edges))
-        if self.root is not None:
-            if not _is_index(self.root):
-                raise ValidationError(
-                    f"root {self.root!r} is not an integer vertex index"
-                )
-            object.__setattr__(self, "root", int(self.root))
-        n = len(self.labels)
-        if n == 0:
-            raise ValidationError("graph needs at least one vertex")
-        if len(set(self.labels)) != n:
-            raise ValidationError("vertex labels must be distinct")
-        seen: set[tuple[int, int]] = set()
-        for k, (tail, head) in enumerate(self.edges):
+            tail, head = int(tail), int(head)
             if not (0 <= tail < n and 0 <= head < n):
                 raise ValidationError(f"edge {k} references a vertex out of range")
             if tail == head:
-                raise ValidationError(
-                    f"edge {k} is a self-loop on vertex {self.labels[tail]!r}"
-                )
-            key = (min(tail, head), max(tail, head))
+                raise ValidationError(f"edge {k} is a self-loop on vertex {labels[tail]!r}")
+            key = (tail, head) if tail < head else (head, tail)
             if key in seen:
                 raise ValidationError(
                     f"edge {k} duplicates the pair "
-                    f"{self.labels[key[0]]!r}--{self.labels[key[1]]!r}"
+                    f"{labels[key[0]]!r}--{labels[key[1]]!r}"
                 )
             seen.add(key)
-        if self.root is not None and not 0 <= self.root < n:
-            raise ValidationError("root vertex out of range")
+            edges.append((tail, head))
+            adjacency[tail].append((head, k))
+            adjacency[head].append((tail, k))
+        ends = _frozen(np.array(edges, dtype=np.int64).reshape(-1, 2).T.copy())
+        # a frozen dataclass: fields and kept structures go in through __dict__
+        vars(self).update(
+            labels=labels, edges=tuple(edges), root=root,
+            _adjacency=tuple(tuple(entries) for entries in adjacency),
+            _endpoints=tuple(ends),
+        )
+        vars(self)["_traversal"] = _bfs(self, self.effective_root)
         depth = self._traversal[3]
         if -1 in depth:
             raise ValidationError(
-                f"graph is not connected: vertex {self.labels[depth.index(-1)]!r} "
+                f"graph is not connected: vertex {labels[depth.index(-1)]!r} "
                 "is unreachable"
             )
 
@@ -105,26 +121,6 @@ class DirectedGraph:
     def incidence(self) -> np.ndarray:
         """The |V| x |E| incidence matrix (read-only view, shared)."""
         return _frozen(build_incidence(self))
-
-    @cached_property
-    def _adjacency(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        # per vertex: (neighbor, edge index), ascending in edge index
-        adj: list[list[tuple[int, int]]] = [[] for _ in self.labels]
-        for k, (tail, head) in enumerate(self.edges):
-            adj[tail].append((head, k))
-            adj[head].append((tail, k))
-        return tuple(tuple(entries) for entries in adj)
-
-    @cached_property
-    def _traversal(self) -> _Traversal:
-        # the one traversal from the root: connectivity check, rooted tree
-        return _bfs(self, self.effective_root)
-
-    @cached_property
-    def _endpoints(self) -> tuple[np.ndarray, np.ndarray]:
-        # int64 tail and head index of every edge (read-only, shared)
-        tail, head = np.array(self.edges, dtype=np.int64).reshape(-1, 2).T
-        return _frozen(tail.copy()), _frozen(head.copy())
 
     @cached_property
     def _sweep(self) -> _Sweep:
@@ -271,11 +267,6 @@ def divergence(omega: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Net outflow of the edge function g at each vertex (sums to zero)."""
     g = _floats(g, omega.shape[1], "edge function")
     return -(omega @ g)
-
-
-def laplacian(omega: np.ndarray) -> np.ndarray:
-    """Graph Laplacian, the incidence matrix times its transpose."""
-    return omega @ omega.T
 
 
 def shortest_path_metric(graph: DirectedGraph) -> np.ndarray:

@@ -25,9 +25,10 @@ from .graphs import (
 
 NEG_TOL = 1e-12
 # Two accepted distributions differ in mass by at most 2 * SUM_TOL, which
-# must stay under the solvers' 1e-9 balance checks: the zero-sum test of a
-# difference vector, the dense simplex's phase-1 FEAS_TOL and the network
-# simplex's FEAS_TOL on the supply left on its artificial arcs.
+# must stay under the solvers' balance checks, 1e-9 times max(1, the largest
+# magnitude checked) by errors._tolerance: the zero-sum test of a difference
+# vector, the dense simplex's phase-1 FEAS_TOL and the network simplex's
+# FEAS_TOL on the supply left on its artificial arcs.
 SUM_TOL = 4e-10
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .errors import SolverError, _floats
+from .errors import SolverError, _floats, _tolerance
 
 PIVOT_TOL = 1e-10
 OPT_TOL = 1e-9
@@ -57,8 +57,9 @@ def solve_lp(lp: LinearProgram) -> LPSolution:
     """Two-phase simplex; optimal solutions are certified before return.
 
     Certification re-checks feasibility of x against the original data
-    (residual below 1e-8, x above -1e-9) and non-negative reduced costs,
-    independently of the pivot path taken.
+    (residual below 1e-8, x above -1e-9, both times max(1, the largest
+    |rhs|), as is the phase-1 feasibility test) and non-negative reduced
+    costs, independently of the pivot path taken.
     """
     c = lp.objective
     A = lp.eq_matrix.copy()
@@ -84,7 +85,8 @@ def solve_lp(lp: LinearProgram) -> LPSolution:
         raise SolverError("phase-1 simplex hit its iteration cap")
     if status == _kernels.STATUS_UNBOUNDED:
         raise SolverError("phase-1 objective claims unbounded; numerical breakdown")
-    if -tableau[m, -1] > FEAS_TOL:
+    feas_tol = _tolerance(FEAS_TOL, lp.eq_rhs)
+    if -tableau[m, -1] > feas_tol:
         return LPSolution(None, float("nan"), "infeasible", iters1)
 
     # drive leftover artificials out; rows that cannot pivot are redundant
@@ -123,7 +125,8 @@ def solve_lp(lp: LinearProgram) -> LPSolution:
     residual = float(np.abs(lp.eq_matrix @ x - lp.eq_rhs).max()) if m else 0.0
     lowest = float(x.min()) if n else 0.0
     reduced = float(phase2[m2, :n].min()) if n else 0.0
-    if residual > RESIDUAL_TOL or lowest < -FEAS_TOL or reduced < -OPT_TOL:
+    residual_tol = _tolerance(RESIDUAL_TOL, lp.eq_rhs)
+    if residual > residual_tol or lowest < -feas_tol or reduced < -OPT_TOL:
         raise SolverError(
             "simplex result failed certification "
             f"(residual {residual:.3e}, min x {lowest:.3e}, "

@@ -14,11 +14,12 @@ from __future__ import annotations
 import numpy as np
 
 from ._network import network_simplex
-from .errors import SolverError, ValidationError, _floats
+from .errors import SolverError, ValidationError, _floats, _tolerance
 from .graphs import DirectedGraph, _bfs, _net_inflow, _require_tree, tree_flow
 from .measures import EdgePairPath, _constant_speed_rows, vertex_distribution
 from .simplex import LinearProgram, solve_lp
 
+# each tolerance scales with the difference it checks (errors._tolerance)
 PLAN_TOL = 1e-8
 GAP_TOL = 1e-9
 BALANCE_TOL = 1e-8
@@ -77,9 +78,12 @@ def check_transport_plan(
 
 
 def _difference(graph: DirectedGraph, delta) -> np.ndarray:
-    """Read a signed vector over the vertices whose entries balance."""
+    """Read a signed vector over the vertices whose entries balance.
+
+    The sum may miss zero by ZERO_SUM_TOL times max(1, max |delta|).
+    """
     delta = _floats(delta, graph.n_vertices, "difference vector")
-    if abs(float(delta.sum())) > ZERO_SUM_TOL:
+    if abs(float(delta.sum())) > _tolerance(ZERO_SUM_TOL, delta):
         raise ValidationError("difference vector must sum to zero")
     return delta
 
@@ -101,7 +105,7 @@ def beckmann_flow(graph: DirectedGraph, delta: np.ndarray) -> tuple[float, np.nd
         raise SolverError(f"flow LP ended {solution.status} on a balanced difference")
     J = solution.x[:m] - solution.x[m:]
     balance = float(np.abs(_net_inflow(graph, J) - delta).max())
-    if balance > BALANCE_TOL:
+    if balance > _tolerance(BALANCE_TOL, delta):
         raise SolverError(f"flow violates its balance equation by {balance:.3e}")
     return solution.objective_value, J
 
@@ -127,8 +131,8 @@ def _couple_moved_mass(
     potentials alone: a non-negative plan whose marginals match the parts
     within PLAN_TOL, cost + potential[s] - potential[t] >= 0 on every pair
     (exact, in integers), and a duality gap <reduced cost, plan> within
-    GAP_TOL. Returns the value, S, T and the |S| x |T| plan; an empty S or
-    T moves nothing.
+    GAP_TOL, both tolerances times max(1, max |delta|). Returns the value,
+    S, T and the |S| x |T| plan; an empty S or T moves nothing.
     """
     sources, targets = np.flatnonzero(delta < 0), np.flatnonzero(delta > 0)
     s, t = sources.size, targets.size
@@ -154,14 +158,14 @@ def _couple_moved_mass(
         float(np.abs(plan.sum(axis=1) - loss).max()),
         float(np.abs(plan.sum(axis=0) - gain).max()),
     )
-    if lowest < 0.0 or off > PLAN_TOL:
+    if lowest < 0.0 or off > _tolerance(PLAN_TOL, delta):
         raise SolverError(
             f"coupling ended infeasible {where}: min plan entry {lowest:.3e}, "
             f"marginals off by {off:.3e}"
         )
     reduced = cost + potential[:s, None] - potential[None, s:]
     gap = float((reduced * plan).sum())
-    if reduced.min() < 0 or gap > GAP_TOL:
+    if reduced.min() < 0 or gap > _tolerance(GAP_TOL, delta):
         raise SolverError(
             f"coupling ended unproven {where}: min reduced cost "
             f"{reduced.min()}, duality gap {gap:.3e}"

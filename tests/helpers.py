@@ -26,6 +26,11 @@ def row_reduction_rank(matrix, tol=1e-9):
     return rank
 
 
+def laplacian(omega):
+    """Graph Laplacian, the incidence matrix times its transpose."""
+    return omega @ omega.T
+
+
 def incidence_reference(graph):
     """Incidence matrix by one edge at a time: -1 at the tail, +1 at the head."""
     omega = np.zeros((graph.n_vertices, graph.n_edges))

@@ -29,7 +29,6 @@ from got.graphs import (
     build_incidence,
     divergence,
     gradient,
-    laplacian,
     spanning_tree_decomposition,
 )
 from got.measures import (
@@ -41,7 +40,7 @@ from got.measures import (
 )
 from got.transport import w1_beckmann, w1_kantorovich, w1_tree
 from got.worked_examples import binomial_example, evaluate_example, poisson_example
-from helpers import random_admissible_pair, reoriented, row_reduction_rank
+from helpers import laplacian, random_admissible_pair, reoriented, row_reduction_rank
 
 N_TREES = 100
 N_GRAPHS = 100

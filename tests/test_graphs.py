@@ -1,3 +1,4 @@
+import ast
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,6 @@ from got.graphs import (
     gradient,
     graph_from_json,
     graph_to_json,
-    laplacian,
     shortest_path_metric,
     spanning_tree_decomposition,
     tree_flow,
@@ -24,7 +24,13 @@ from got.dynamics import constant_speed_solution_graph
 from got.generators import random_distribution
 from got.measures import tails
 from got.transport import w1_tree
-from helpers import cycle_basis_reference, incidence_reference, row_reduction_rank
+from helpers import (
+    cycle_basis_reference,
+    incidence_reference,
+    laplacian,
+    reoriented,
+    row_reduction_rank,
+)
 
 SINGLE = DirectedGraph(("0", "1"), ((0, 1),))
 PATH3 = DirectedGraph(("0", "1", "2"), ((0, 1), (1, 2)), root=0)
@@ -272,6 +278,28 @@ def test_cached_tree_structure_is_shared_and_immutable():
     assert DirectedGraph(("a",), ())._endpoints[0].shape == (0,)
 
 
+def test_construction_keeps_adjacency_endpoints_and_traversal():
+    rng = np.random.default_rng(930)
+    lazy = ("_sweep", "_tree_edge_table", "incidence")
+    for _ in range(20):
+        n = int(rng.integers(1, 30))
+        graph = reoriented(rng, random_connected_graph(rng, n, int(rng.integers(0, n))))
+        kept = {name: vars(graph)[name] for name in ("_adjacency", "_endpoints", "_traversal")}
+        assert not any(name in vars(graph) for name in lazy)
+        for name, value in kept.items():
+            assert getattr(graph, name) is value
+        # each vertex lists its edges in ascending edge index, with the
+        # other endpoint
+        for x, entries in enumerate(graph._adjacency):
+            assert entries == tuple(
+                (head if tail == x else tail, k)
+                for k, (tail, head) in enumerate(graph.edges)
+                if x in (tail, head)
+            )
+        tail, head = graph._endpoints
+        assert list(zip(tail.tolist(), head.tolist())) == list(graph.edges)
+
+
 def test_tree_edge_table():
     # each edge is read at its endpoint farther from the root: sign +1 when
     # that is its head, -1 when it is its tail, 0 off the breadth-first tree
@@ -285,6 +313,32 @@ def test_tree_edge_table():
     assert rerooted(graph, 2)._tree_edge_table[1].tolist() == [1.0, -1.0, -1.0, 0.0]
     carrier, sign = DirectedGraph(("a",), ())._tree_edge_table
     assert carrier.shape == sign.shape == (0,)
+
+
+def _enclosing_functions(source):
+    """Line number -> name of the innermost function around that line."""
+    names = {}
+    # ast.walk goes outside in, so an inner function overwrites its outer one
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.FunctionDef):
+            names.update(dict.fromkeys(range(node.lineno, node.end_lineno + 1), node.name))
+    return names
+
+
+def test_only_two_solve_paths_read_the_dense_incidence():
+    # the dense |V| x |E| matrix is for operator-identity tests; two solve
+    # paths still read it until they move to the edge list, and no other
+    # may start to
+    readers = set()
+    for path in sorted(Path(got.__file__).parent.glob("*.py")):
+        if path.name in ("graphs.py", "__init__.py"):
+            continue
+        source = path.read_text()
+        where = _enclosing_functions(source)
+        for number, line in enumerate(source.splitlines(), 1):
+            if ".incidence" in line or "build_incidence" in line:
+                readers.add(f"{path.stem}.{where.get(number, '<module>')}")
+    assert readers <= {"transport.beckmann_flow", "cli.cmd_verify"}
 
 
 def test_no_module_reads_the_tree_rule_beside_graphs():
@@ -388,6 +442,11 @@ def test_vertex_indices_must_be_integers():
         (((0, 1.0), (1, 2)), "edge 0 (0, 1.0) has a vertex index that is not an integer"),
         (((True, 1), (1, 2)), "edge 0 (True, 1) has a vertex index that is not an integer"),
         (((0, 1), ("1", 2)), "edge 1 ('1', 2) has a vertex index that is not an integer"),
+        # several faults: the first faulty edge, at the first check it fails
+        (((0, 5), (0, 1.5)), "edge 0 references a vertex out of range"),
+        (((0, 1), (1, 1), (0, "x")), "edge 1 is a self-loop on vertex 'b'"),
+        (((1, 0), (0, 1), (0, 1, 1)), "edge 1 duplicates the pair 'a'--'b'"),
+        (((0, 1), (0, 2.5), (9, 2)), "edge 1 (0, 2.5) has a vertex index that is not an integer"),
     ):
         with pytest.raises(ValidationError) as info:
             DirectedGraph(labels, edges)
@@ -404,6 +463,16 @@ def test_vertex_indices_must_be_integers():
         with pytest.raises(ValidationError) as info:
             DirectedGraph(labels, ((0, 1), (1, 2)), root=root)
         assert str(info.value) == f"root {root!r} is not an integer vertex index"
+    # the labels and the root are checked before any edge
+    for names, edges, root, message in (
+        ((), ((),), None, "graph needs at least one vertex"),
+        (("a", "a"), ((0, 7),), None, "vertex labels must be distinct"),
+        (labels, ((0, 0), (0, 1.5)), 1.5, "root 1.5 is not an integer vertex index"),
+        (labels, ((0, 1), (0, "x")), 9, "root vertex out of range"),
+    ):
+        with pytest.raises(ValidationError) as info:
+            DirectedGraph(names, edges, root)
+        assert str(info.value) == message
     # numpy integers are integers, and are stored as Python ints
     graph = DirectedGraph(
         labels, ((np.int64(0), np.int32(1)), (np.uint8(1), 2)), root=np.int64(2)

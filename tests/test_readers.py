@@ -16,7 +16,6 @@ import got
 from got import (
     DirectedGraph,
     EdgePairPath,
-    LinearProgram,
     ValidationError,
     VertexPath,
     beckmann_flow,
@@ -36,6 +35,7 @@ from got import (
     w1_difference,
 )
 from got.measures import TimeGrid, convex_interpolation
+from got.simplex import LinearProgram
 
 PATH3 = DirectedGraph(("0", "1", "2"), ((0, 1), (1, 2)), root=0)
 OMEGA = PATH3.incidence

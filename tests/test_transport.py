@@ -233,6 +233,24 @@ def test_w1_difference_scales_with_delta(seed):
     assert abs(w1_difference(graph, 3 * (f1 - f0)) - 3 * value) <= 1e-12
 
 
+def test_balance_checks_scale_with_the_difference():
+    # a balanced difference of size 1e8 sums to round-off of about 1e-8 and
+    # leaves residuals of that size in both engines; the checks scale with
+    # its largest entry, so both routes value every instance
+    rng = np.random.default_rng(0)
+    for _ in range(40):
+        graph = random_connected_graph(rng, 40, 4)
+        delta = random_distribution(rng, 40) - random_distribution(rng, 40)
+        delta[-1] = -delta[:-1].sum()
+        delta *= 1e8
+        reference = 1e8 * w1_difference(graph, delta / 1e8)
+        coupled = w1_difference(graph, delta)
+        flow_value, _ = beckmann_flow(graph, delta)
+        assert abs(coupled - reference) <= 1e-12 * reference
+        assert abs(flow_value - reference) <= 1e-12 * reference
+        assert abs(coupled - flow_value) <= 1e-12 * coupled
+
+
 def test_coupling_lp_is_on_the_moved_mass_only(monkeypatch):
     import got.graphs
     import got.transport

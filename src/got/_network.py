@@ -13,11 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import SolverError, _tolerance
-
-# the artificial arcs may end up carrying at most the supplies' imbalance,
-# scaled by the largest supply (errors._tolerance)
-FEAS_TOL = 1e-9
+from .errors import IMBALANCE_TOL, SolverError, _tolerance
 
 
 def network_simplex(
@@ -30,7 +26,7 @@ def network_simplex(
     """Minimise cost . flow over flow >= 0 with net outflow ``supply`` per node.
 
     ``tail``, ``head`` and non-negative integer ``cost`` hold one entry per
-    arc, ``supply`` one float per node, summing to zero within FEAS_TOL
+    arc, ``supply`` one float per node, summing to zero within IMBALANCE_TOL
     times max(1, its largest magnitude).
     Returns (flow, potential, pivots): the arc flows; integer node
     potentials with cost + potential[tail] - potential[head] >= 0 on every
@@ -120,7 +116,7 @@ def network_simplex(
         pivots += 1
 
     residue = sum(flow[n_arcs:])
-    if residue > _tolerance(FEAS_TOL, supply):
+    if residue > _tolerance(IMBALANCE_TOL, supply):
         raise SolverError(
             f"network simplex left {residue:.3e} of supply on its artificial arcs"
         )

@@ -30,6 +30,12 @@ def _is_index(value) -> bool:
     )
 
 
+# the imbalance allowed where supplies should sum to zero, scaled by
+# _tolerance: a difference vector, the dense simplex's phase 1 and the
+# supply the network simplex leaves on its artificial arcs
+IMBALANCE_TOL = 1e-9
+
+
 def _tolerance(tol: float, values) -> float:
     """``tol`` times max(1, the largest magnitude in ``values``).
 

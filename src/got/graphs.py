@@ -175,43 +175,37 @@ def _bfs(graph: DirectedGraph, source: int) -> _Traversal:
 def _leaves_to_root(graph: DirectedGraph) -> _Sweep:
     """Batches (children, parents) that add each vertex into its parent.
 
-    Deepest level first, within a level children in reversed visiting
-    order, split by sibling rank so that a parent appears at most once per
-    batch. Every parent so receives its children's sums in the order of a
-    one-vertex-at-a-time pass over the reversed visiting order.
+    One batch per depth level below the root, deepest level first; within
+    a level the children stay in reversed visiting order, and a parent
+    with several children appears once for each (``_subtree_sums`` adds
+    repeats with ``np.add.at``). A star's leaves so make one batch, a
+    path's vertices one batch each.
     """
-    order, parent_vertex, _, depth = graph._traversal
-    batches: list[tuple[list[int], list[int]]] = []
-    level_start, level_depth, rank = 0, -1, {}
-    for x in reversed(order[1:]):
-        if depth[x] != level_depth:
-            level_start, level_depth, rank = len(batches), depth[x], {}
-        parent = parent_vertex[x]
-        r = rank.get(parent, 0)
-        rank[parent] = r + 1
-        if level_start + r == len(batches):
-            batches.append(([], []))
-        children, parents = batches[level_start + r]
-        children.append(x)
-        parents.append(parent)
+    order, parent_vertex, _, depth = np.array(graph._traversal, dtype=np.int64)
+    children = order[:0:-1]
+    levels = np.split(children, np.flatnonzero(np.diff(depth[children])) + 1)
     return tuple(
-        (_frozen(np.array(children, dtype=np.int64)),
-         _frozen(np.array(parents, dtype=np.int64)))
-        for children, parents in batches
+        (_frozen(level), _frozen(parent_vertex[level]))
+        for level in levels
+        if level.size
     )
 
 
 def _subtree_sums(graph: DirectedGraph, mass: np.ndarray) -> np.ndarray:
-    """Add every vertex's entry into its parent's, leaves first, in place.
+    """Add every vertex's entry into its parent's, leaves first.
 
-    ``mass`` is a float array with vertices on its last axis; afterwards
-    entry x holds the sum over x's subtree in the graph's breadth-first
-    tree, so the root holds the total.
+    ``mass`` is a float array with vertices on its last axis; the result,
+    ``mass`` itself when it is C-contiguous, holds at entry x the sum over
+    x's subtree in the graph's breadth-first tree, so the root holds the
+    total. One unbuffered ``np.add.at`` per level on the flattened rows
+    adds a parent's children one at a time in the batch's order, the order
+    of a one-vertex-at-a-time pass over the reversed visiting order.
     """
-    by_vertex = mass.T
+    flat = mass.ravel()
+    offset = np.arange(0, flat.size, graph.n_vertices)[:, None]
     for children, parents in graph._sweep:
-        by_vertex[parents] += by_vertex[children]
-    return mass
+        np.add.at(flat, (offset + parents).ravel(), flat[(offset + children).ravel()])
+    return flat.reshape(mass.shape)
 
 
 def _on_edges(graph: DirectedGraph, by_vertex: np.ndarray) -> np.ndarray:

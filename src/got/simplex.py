@@ -15,11 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .errors import SolverError, _floats, _tolerance
+from .errors import IMBALANCE_TOL, SolverError, _floats, _tolerance
 
 PIVOT_TOL = 1e-10
 OPT_TOL = 1e-9
-FEAS_TOL = 1e-9
 RESIDUAL_TOL = 1e-8
 
 
@@ -85,7 +84,7 @@ def solve_lp(lp: LinearProgram) -> LPSolution:
         raise SolverError("phase-1 simplex hit its iteration cap")
     if status == _kernels.STATUS_UNBOUNDED:
         raise SolverError("phase-1 objective claims unbounded; numerical breakdown")
-    feas_tol = _tolerance(FEAS_TOL, lp.eq_rhs)
+    feas_tol = _tolerance(IMBALANCE_TOL, lp.eq_rhs)
     if -tableau[m, -1] > feas_tol:
         return LPSolution(None, float("nan"), "infeasible", iters1)
 

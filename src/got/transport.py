@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from ._network import network_simplex
-from .errors import SolverError, ValidationError, _floats, _tolerance
+from .errors import IMBALANCE_TOL, SolverError, ValidationError, _floats, _tolerance
 from .graphs import DirectedGraph, _bfs, _net_inflow, _require_tree, tree_flow
 from .measures import EdgePairPath, _constant_speed_rows, vertex_distribution
 from .simplex import LinearProgram, solve_lp
@@ -23,7 +23,6 @@ from .simplex import LinearProgram, solve_lp
 PLAN_TOL = 1e-8
 GAP_TOL = 1e-9
 BALANCE_TOL = 1e-8
-ZERO_SUM_TOL = 1e-9  # a difference vector's sum; see measures.SUM_TOL
 
 
 def w1_tree(
@@ -80,10 +79,10 @@ def check_transport_plan(
 def _difference(graph: DirectedGraph, delta) -> np.ndarray:
     """Read a signed vector over the vertices whose entries balance.
 
-    The sum may miss zero by ZERO_SUM_TOL times max(1, max |delta|).
+    The sum may miss zero by IMBALANCE_TOL times max(1, max |delta|).
     """
     delta = _floats(delta, graph.n_vertices, "difference vector")
-    if abs(float(delta.sum())) > _tolerance(ZERO_SUM_TOL, delta):
+    if abs(float(delta.sum())) > _tolerance(IMBALANCE_TOL, delta):
         raise ValidationError("difference vector must sum to zero")
     return delta
 

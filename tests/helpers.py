@@ -31,6 +31,16 @@ def laplacian(omega):
     return omega @ omega.T
 
 
+def laplacian_reference(graph):
+    """Laplacian from the edge list: degrees on the diagonal, -1 per edge."""
+    lap = np.zeros((graph.n_vertices, graph.n_vertices))
+    for tail, head in graph.edges:
+        lap[tail, tail] += 1.0
+        lap[head, head] += 1.0
+        lap[tail, head] = lap[head, tail] = -1.0
+    return lap
+
+
 def incidence_reference(graph):
     """Incidence matrix by one edge at a time: -1 at the tail, +1 at the head."""
     omega = np.zeros((graph.n_vertices, graph.n_edges))

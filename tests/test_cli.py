@@ -1,3 +1,5 @@
+import argparse
+import csv
 import json
 import os
 import subprocess
@@ -169,10 +171,41 @@ def test_distance_rejects_duplicate_labels(cycle_files, capsys, tmp_path):
     assert "vertex labels must be distinct" in capsys.readouterr().err
 
 
-def test_usage_errors_exit_one(capsys):
+def test_readme_synopsis_lists_every_flag():
+    # the README's CLI block names each subcommand's flags, and only those
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```bash", 1)[1].split("```", 1)[0]
+    documented = {}
+    for command in block.replace("\\\n", " ").split("got ")[1:]:
+        name, *words = command.split()
+        flags = (word.strip("[]") for word in words)
+        documented[name] = {flag for flag in flags if flag.startswith("--")}
+    subparsers = next(
+        action for action in cli.build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    declared = {
+        name: {
+            flag
+            for action in parser._actions
+            for flag in action.option_strings
+            if flag not in ("-h", "--help")
+        }
+        for name, parser in subparsers.choices.items()
+    }
+    assert documented == declared
+
+
+def test_usage_errors_exit_one(cycle_files, tmp_path, capsys):
+    g, f0, f1 = cycle_files
     assert cli.main(["distance", "--graph", "g.json"]) == 1
     assert cli.main(["nonsense"]) == 1
     capsys.readouterr()
+    # geodesic has one mode, the library's default, and no flag for it
+    argv = ["geodesic", "--graph", g, "--from", f0, "--to", f1, "--mode", "convex",
+            "--out", str(tmp_path / "geo.csv")]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == "error: unrecognized arguments: --mode convex\n"
 
 
 def test_geodesic_stationary(tmp_path, capsys):
@@ -216,6 +249,29 @@ def test_geodesic_point_masses(tmp_path, capsys):
         assert sum(masses) == 1.0
     assert [float(r[2]) for r in rows if r[0] == "0.0"] == [1.0, 0.0, 0.0]
     capsys.readouterr()
+
+
+def test_geodesic_csv_quotes_labels(tmp_path, capsys):
+    labels = ["a,b", 'say "hi"', "two\nlines", "c"]
+    payload = {
+        "vertices": labels,
+        "edges": [{"tail": t, "head": h} for t, h in zip(labels, labels[1:])],
+    }
+    g = _write(tmp_path, "g.json", payload)
+    f0 = _write(tmp_path, "f0.json", {"values": dict(zip(labels, [1.0, 0, 0, 0]))})
+    f1 = _write(tmp_path, "f1.json", {"values": dict(zip(labels, [0, 0, 0, 1.0]))})
+    out = tmp_path / "geo.csv"
+    assert cli.main(
+        ["geodesic", "--graph", g, "--from", f0, "--to", f1,
+         "--steps", "2", "--out", str(out)]
+    ) == 0
+    capsys.readouterr()
+    with open(out, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["t", "vertex", "mass"]
+    assert [len(row) for row in rows] == [3] * (1 + 3 * 4)
+    assert [row[1] for row in rows[1:]] == labels * 3
+    assert [float(row[2]) for row in rows[1:5]] == [1.0, 0.0, 0.0, 0.0]
 
 
 def test_verify_round_trip(tmp_path, capsys):
@@ -382,6 +438,9 @@ def test_examples_unknown_name(capsys):
     assert cli.main(["examples", "cauchy"]) == 1
     assert cli.main(["examples", "poisson", "--truncation", "2"]) == 1
     capsys.readouterr()
+    # binomial reads no truncation, so none is checked
+    assert cli.main(["examples", "binomial", "--steps", "4", "--truncation", "2"]) == 0
+    capsys.readouterr()
 
 
 def test_library_checks_reach_the_command_line(cycle_files, tmp_path, capsys):
@@ -395,9 +454,8 @@ def test_library_checks_reach_the_command_line(cycle_files, tmp_path, capsys):
          f"time grid needs fewer than {np.iinfo(np.intp).max} steps"),
         (["examples", "cauchy"],
          "unknown example 'cauchy'; choose one of binomial, poisson, star, square"),
-        (["geodesic", "--graph", g, "--from", f0, "--to", f1, "--mode",
-          "beckmann-flow", "--out", out],
-         "unknown mode 'beckmann-flow'; choose one of convex"),
+        (["examples", "poisson", "--truncation", "2"],
+         "poisson truncation must be at least 5"),
     ]
     for argv, message in cases:
         assert cli.main(argv) == 1

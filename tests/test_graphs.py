@@ -28,8 +28,10 @@ from helpers import (
     cycle_basis_reference,
     incidence_reference,
     laplacian,
+    laplacian_reference,
     reoriented,
     row_reduction_rank,
+    tails_reference,
 )
 
 SINGLE = DirectedGraph(("0", "1"), ((0, 1),))
@@ -132,7 +134,7 @@ def test_operator_identities_random(seed):
     assert abs(divergence(omega, g).sum()) <= 1e-12
     # laplacian agrees entrywise and annihilates constants
     lap = laplacian(omega)
-    assert np.allclose(lap, omega @ omega.T)
+    assert np.array_equal(lap, laplacian_reference(graph))
     assert np.abs(lap @ np.ones(graph.n_vertices)).max() <= 1e-12
     assert np.allclose(lap @ f, divergence(omega, gradient(omega, f)))
     # rank of the incidence matrix
@@ -410,6 +412,63 @@ def test_dense_views_are_built_on_first_access_only():
         assert getattr(decomp, name) is view
         with pytest.raises(ValueError):
             view[0, 0] = 1.0
+
+
+def _star_path_broom(kind, n):
+    """A star centred at 0, a path from 0, or a broom: a path from 0, then a
+    star at its far end."""
+    if kind == "star":
+        edges = [(0, v) for v in range(1, n)]
+    elif kind == "path":
+        edges = [(v, v + 1) for v in range(n - 1)]
+    else:
+        handle = max(1, n // 3)
+        edges = [(v, v + 1) for v in range(handle - 1)]
+        edges += [(handle - 1, v) for v in range(handle, n)]
+    return DirectedGraph(tuple(str(v) for v in range(n)), tuple(edges), root=0)
+
+
+def test_sweep_matches_the_one_vertex_loop_on_stars_paths_and_brooms():
+    rng = np.random.default_rng(2310)
+    for kind in ("star", "path", "broom"):
+        for n in (1, 2, 3, 40, 700, 2000):
+            # random orientations and a random root
+            tree = reoriented(rng, _star_path_broom(kind, n))
+            _, _, parent_edge, depth = tree._traversal
+            below_root = [x for x in range(n) if depth[x] > 0]
+            rows = int(rng.integers(1, 201))
+            for mass in (rng.normal(size=n), rng.normal(size=(rows, n))):
+                reference = tails_reference(tree, mass)
+                assert tails(tree, mass).tobytes() == reference.tobytes()
+                # the edge above x carries x's subtree sum, signed by whether
+                # x is its head
+                flow = np.zeros(mass.shape[:-1] + (tree.n_edges,))
+                for x in below_root:
+                    sign = 1.0 if tree.edges[parent_edge[x]][1] == x else -1.0
+                    flow[..., parent_edge[x]] = sign * reference[..., x]
+                assert tree_flow(tree, mass).tobytes() == flow.tobytes()
+
+
+def test_sweep_has_one_batch_per_level():
+    (leaves, centres), = _star_path_broom("star", 20000)._sweep
+    assert leaves.size == 19999 and set(centres.tolist()) == {0}
+    assert len(_star_path_broom("path", 2000)._sweep) == 1999
+    assert _star_path_broom("star", 1)._sweep == ()
+    rng = np.random.default_rng(2311)
+    for kind in ("star", "path", "broom"):
+        for n in (2, 5, 300):
+            graph = reoriented(rng, _star_path_broom(kind, n))
+            order, parent_vertex, _, depth = graph._traversal
+            sweep = graph._sweep
+            assert len(sweep) == max(depth)
+            # deepest level first, each level's children in reversed
+            # visiting order beside their parents
+            levels = [depth[batch[0]] for batch, _ in sweep]
+            assert levels == list(range(max(depth), 0, -1))
+            children = np.concatenate([batch for batch, _ in sweep]).tolist()
+            parents = np.concatenate([batch for _, batch in sweep]).tolist()
+            assert children == list(reversed(order[1:]))
+            assert parents == [parent_vertex[x] for x in children]
 
 
 @pytest.mark.parametrize("seed", range(6))

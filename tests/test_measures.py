@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from got.errors import ValidationError
+from got.errors import IMBALANCE_TOL, ValidationError
 from got.generators import random_distribution, random_tree
 from got.graphs import DirectedGraph, build_incidence, spanning_tree_decomposition
 from got.measures import (
+    SUM_TOL,
     EdgePairPath,
     TimeGrid,
     Triple,
@@ -27,6 +28,12 @@ from helpers import tails_reference
 PATH3 = DirectedGraph(("0", "1", "2"), ((0, 1), (1, 2)), root=0)
 STAR3 = DirectedGraph(("0", "1", "2", "3"), ((0, 1), (0, 2), (0, 3)), root=0)
 CYCLE4 = DirectedGraph(("0", "1", "2", "3"), ((0, 1), (1, 2), (3, 2), (0, 3)), root=0)
+
+
+def test_two_accepted_masses_balance_within_the_imbalance_bound():
+    # two accepted distributions differ in mass by at most 2 * SUM_TOL; the
+    # zero-sum check and both simplex engines allow IMBALANCE_TOL
+    assert 2 * SUM_TOL < IMBALANCE_TOL
 
 
 def test_distribution_validation():

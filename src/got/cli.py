@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import sys
 
 import numpy as np
@@ -130,9 +131,9 @@ def cmd_geodesic(args) -> int:
         with open(args.out, "w", newline="") as fh:
             rows = csv.writer(fh, lineterminator="\n")
             rows.writerow(("t", "vertex", "mass"))
-            for i, t in enumerate(path.knots):
-                for x, label in enumerate(graph.labels):
-                    rows.writerow((_fmt(t), label, _fmt(path.samples[i, x])))
+            for t, masses in zip(path.knots, path.samples.tolist()):
+                knot = itertools.repeat(_fmt(t))
+                rows.writerows(zip(knot, graph.labels, map(_fmt, masses)))
     except OSError as exc:
         raise ValidationError(f"cannot write {args.out}: {exc}") from exc
     print(f"wrote {(path.steps + 1) * graph.n_vertices} rows to {args.out}")

@@ -195,17 +195,18 @@ def _subtree_sums(graph: DirectedGraph, mass: np.ndarray) -> np.ndarray:
     """Add every vertex's entry into its parent's, leaves first.
 
     ``mass`` is a float array with vertices on its last axis; the result,
-    ``mass`` itself when it is C-contiguous, holds at entry x the sum over
+    a view of ``mass`` when it is C-contiguous, holds at entry x the sum over
     x's subtree in the graph's breadth-first tree, so the root holds the
     total. One unbuffered ``np.add.at`` per level on the flattened rows
     adds a parent's children one at a time in the batch's order, the order
     of a one-vertex-at-a-time pass over the reversed visiting order.
     """
     flat = mass.ravel()
+    by_row = flat.reshape(mass.shape)
     offset = np.arange(0, flat.size, graph.n_vertices)[:, None]
     for children, parents in graph._sweep:
-        np.add.at(flat, (offset + parents).ravel(), flat[(offset + children).ravel()])
-    return flat.reshape(mass.shape)
+        np.add.at(flat, (offset + parents).ravel(), by_row[..., children].ravel())
+    return by_row
 
 
 def _on_edges(graph: DirectedGraph, by_vertex: np.ndarray) -> np.ndarray:

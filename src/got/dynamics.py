@@ -22,7 +22,8 @@ from .measures import (
     TimeGrid,
     Triple,
     VertexPath,
-    _constant_speed_rows,
+    _check_edges,
+    _constant_speed_pair,
     convex_interpolation,
     differentiate_path,
     tails,
@@ -64,6 +65,15 @@ class TailResidualReport:
     worst_edge: int
 
 
+def _worst(gap: np.ndarray) -> tuple[float, int, int]:
+    """The largest entry of a (knots x entries) gap, with the knot and index
+    where it is first reached; (0.0, 0, 0) when the gap is empty."""
+    if gap.size == 0:
+        return 0.0, 0, 0
+    knot, index = np.unravel_index(int(gap.argmax()), gap.shape)
+    return float(gap.max()), int(knot), int(index)
+
+
 def transport_residual(triple: Triple, omega: np.ndarray) -> ResidualReport:
     """Worst deviation of the triple from the discrete transport equation."""
     if triple.path.samples.shape[1] != omega.shape[0] or (
@@ -72,10 +82,7 @@ def transport_residual(triple: Triple, omega: np.ndarray) -> ResidualReport:
         raise ValidationError("triple dimensions do not match the incidence matrix")
     dfdt = differentiate_path(triple.path)
     driven = triple.pair.flux() @ omega.T
-    gap = np.abs(dfdt - driven)
-    flat = int(gap.argmax())
-    knot, vertex = np.unravel_index(flat, gap.shape)
-    return ResidualReport(float(gap.max()), int(knot), int(vertex))
+    return ResidualReport(*_worst(np.abs(dfdt - driven)))
 
 
 def energy(pair: EdgePairPath, q: float) -> EnergyReport:
@@ -100,15 +107,9 @@ def tail_pde_check(triple: Triple, tree: DirectedGraph) -> TailResidualReport:
     """Residual of the tail form: on each edge, the tail derivative at the
     endpoint farther from the root, negated when that endpoint is the
     edge's tail, must equal v*g (the graph's tree-edge table)."""
-    if triple.pair.n_edges != tree.n_edges:
-        raise ValidationError(
-            f"pair has {triple.pair.n_edges} edges, expected {tree.n_edges}"
-        )
+    _check_edges(triple.pair, tree.n_edges)
     gap = np.abs(_tail_flux(tree, triple.path) - triple.pair.flux())
-    if gap.size == 0:
-        return TailResidualReport(0.0, 0, 0)
-    knot, edge = np.unravel_index(int(gap.argmax()), gap.shape)
-    return TailResidualReport(float(gap.max()), int(knot), int(edge))
+    return TailResidualReport(*_worst(gap))
 
 
 def constant_speed_solution_tree(
@@ -123,8 +124,7 @@ def constant_speed_solution_tree(
     speed, so the resulting triple satisfies the transport
     equation exactly and the edge masses sum to one.
     """
-    v, g = _constant_speed_rows(_tail_flux(tree, path))
-    return EdgePairPath(path.knots.copy(), v, g)
+    return _constant_speed_pair(path.knots, _tail_flux(tree, path))
 
 
 def constant_speed_solution_graph(
@@ -175,8 +175,7 @@ def reduced_constraint_check(
     n, m = omega.shape
     f0 = _floats(f0, n, "f0")
     f1 = _floats(f1, n, "f1")
-    if pair.n_edges != m:
-        raise ValidationError(f"pair has {pair.n_edges} edges, expected {m}")
+    _check_edges(pair, m)
     gap = omega @ pair.time_integral() - (f1 - f0)
     return float(np.abs(gap).max()) if gap.size else 0.0
 

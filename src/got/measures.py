@@ -188,28 +188,31 @@ class EdgePairPath:
 
 
 def zero_pair(n_edges: int, steps: int = 1) -> EdgePairPath:
-    """Zero velocity with uniform edge mass: the stationary pair."""
-    v, g = _constant_speed_rows(np.zeros((1, n_edges)))
-    return EdgePairPath.constant(v[0], g[0], steps)
+    """Zero velocity with uniform edge mass: the stationary pair, the
+    constant-speed factorization of a zero flux."""
+    grid = TimeGrid(steps)
+    return _constant_speed_pair(grid.knots, np.zeros((grid.steps, n_edges)))
 
 
-def _constant_speed_rows(targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Factor each row h into (v, g) with v = sign(h) |h|_1, g = |h| / |h|_1.
+def _constant_speed_pair(knots, flux: np.ndarray) -> EdgePairPath:
+    """The pair on ``knots`` whose interval i factors row h of the
+    (steps x edges) ``flux`` at constant speed: v = sign(h) |h|_1 and
+    g = |h| / |h|_1, the sign of zero (-0.0 too) taken as +1, so v*g = h.
 
-    The sign of zero is taken as +1, so v*g = h. Rows with zero total
-    mass become the stationary v = 0, g = uniform.
+    The one place a flux is split into a velocity and an edge distribution;
+    the whole stack goes at once. Rows with zero total mass become the
+    stationary v = 0, g = uniform.
     """
-    steps, m = targets.shape
-    v = np.zeros((steps, m))
-    g = np.full((steps, m), 1.0 / m) if m else np.zeros((steps, 0))
-    for i, h in enumerate(targets):
-        speed = float(np.abs(h).sum())
-        # a non-finite row falls through and is rejected by EdgePairPath
-        if speed <= 0.0:
-            continue
-        v[i] = np.where(h >= 0.0, 1.0, -1.0) * speed
-        g[i] = np.abs(h) / speed
-    return v, g
+    # summed along C-ordered rows, each speed is pairwise like a lone row's
+    g = np.abs(flux, order="C")
+    with np.errstate(over="ignore", invalid="ignore"):
+        speed = g.sum(axis=1, keepdims=True)
+        # a NaN or infinite row moves, and EdgePairPath rejects it as non-finite
+        moving = ~(speed <= 0.0)
+        v = np.where(moving, np.where(flux >= 0.0, speed, -speed), 0.0)
+        uniform = np.full(g.shape, 1.0 / max(g.shape[1], 1))
+        g = np.divide(g, speed, out=uniform, where=moving)
+    return EdgePairPath(knots, v, g)
 
 
 @dataclass(frozen=True)
@@ -240,6 +243,12 @@ def tails(tree: DirectedGraph, mass) -> np.ndarray:
     return _subtree_sums(tree, _floats(mass, tree.n_vertices, "mass", rows=True))
 
 
+def _check_edges(pair: EdgePairPath, m: int) -> None:
+    """Raise unless the pair lives on ``m`` edges."""
+    if pair.n_edges != m:
+        raise ValidationError(f"pair has {pair.n_edges} edges, expected {m}")
+
+
 def integrate_pair(
     f0: np.ndarray, pair: EdgePairPath, omega: np.ndarray
 ) -> VertexPath:
@@ -251,8 +260,7 @@ def integrate_pair(
     """
     n, m = omega.shape
     f0 = _floats(f0, n, "f0")
-    if pair.n_edges != m:
-        raise ValidationError(f"pair has {pair.n_edges} edges, expected {m}")
+    _check_edges(pair, m)
     increments = (pair.flux() @ omega.T) * pair.durations[:, None]
     samples = np.empty((pair.steps + 1, n))
     samples[0] = f0

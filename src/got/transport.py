@@ -16,7 +16,7 @@ import numpy as np
 from ._network import network_simplex
 from .errors import IMBALANCE_TOL, SolverError, ValidationError, _floats, _tolerance
 from .graphs import DirectedGraph, _bfs, _net_inflow, _require_tree, tree_flow
-from .measures import EdgePairPath, _constant_speed_rows, vertex_distribution
+from .measures import EdgePairPath, TimeGrid, _constant_speed_pair, vertex_distribution
 from .simplex import LinearProgram, solve_lp
 
 # each tolerance scales with the difference it checks (errors._tolerance)
@@ -49,8 +49,11 @@ def w1_kantorovich(
     min(f0, f1) stays in place at no cost, so only the moved mass f1 - f0
     is coupled, by ``w1_difference``'s transportation problem, which the
     network simplex solves and its potentials certify. Returns the
-    optimal value and one optimal plan: diag(min(f0, f1)) plus the moved
-    mass's plan on its source and target vertices.
+    optimal value and one optimal plan, assembled from the certified
+    moved block: diag(min(f0, f1)) plus the moved mass's plan on its
+    source and target vertices. That is a coupling with no further check:
+    the diagonal is non-negative, the block's marginals match the moved
+    mass within PLAN_TOL, and every other row and column is exact.
     """
     n = graph.n_vertices
     f0 = vertex_distribution(f0, n)
@@ -58,22 +61,7 @@ def w1_kantorovich(
     value, sources, targets, moved = _couple_moved_mass(graph, f1 - f0)
     plan = np.diag(np.minimum(f0, f1))
     plan[np.ix_(sources, targets)] = moved
-    check_transport_plan(plan, f0, f1)
     return value, plan
-
-
-def check_transport_plan(
-    plan: np.ndarray, f0: np.ndarray, f1: np.ndarray
-) -> None:
-    """Raise unless plan is a coupling of f0 and f1 within tolerance."""
-    if float(plan.min()) < -1e-9:
-        raise SolverError(f"transport plan has negative entry {plan.min():.3e}")
-    row_err = float(np.abs(plan.sum(axis=1) - f0).max())
-    col_err = float(np.abs(plan.sum(axis=0) - f1).max())
-    if row_err > PLAN_TOL or col_err > PLAN_TOL:
-        raise SolverError(
-            f"transport plan marginals are off by ({row_err:.3e}, {col_err:.3e})"
-        )
 
 
 def _difference(graph: DirectedGraph, delta) -> np.ndarray:
@@ -185,15 +173,17 @@ def w1_difference(graph: DirectedGraph, delta: np.ndarray) -> float:
 
 
 def flow_to_constant_pair(J: np.ndarray, steps: int = 1) -> EdgePairPath:
-    """Spread a flow over time at constant speed.
+    """Spread a flow over time at constant speed, on a uniform grid.
 
-    The velocity is sign(J_k) times the total flow (sign of zero taken as
-    +1), the edge distribution carries |J_k| proportionally, so v*g = J
-    on every interval. A zero flow yields the stationary pair with
-    uniform edge mass.
+    Every interval carries the constant-speed factorization of J
+    (``measures._constant_speed_pair``): the velocity is sign(J_k) times
+    the total flow (sign of zero taken as +1), the edge distribution
+    carries |J_k| proportionally, so v*g = J on every interval. A zero
+    flow yields the stationary pair with uniform edge mass.
     """
-    v, g = _constant_speed_rows(_floats(J, None, "flow")[None])
-    return EdgePairPath.constant(v[0], g[0], steps)
+    J = _floats(J, None, "flow")
+    grid = TimeGrid(steps)
+    return _constant_speed_pair(grid.knots, np.broadcast_to(J, (grid.steps, J.size)))
 
 
 def w1_auto(graph: DirectedGraph, f0: np.ndarray, f1: np.ndarray) -> float:

@@ -31,8 +31,8 @@ import numpy as np
 from .dynamics import energy
 from .errors import ValidationError
 from .graphs import DirectedGraph
-from .measures import EdgePairPath, TimeGrid, Triple, VertexPath
-from .measures import _constant_speed_rows, convex_interpolation
+from .measures import TimeGrid, Triple, VertexPath
+from .measures import _constant_speed_pair, convex_interpolation
 from .transport import beckmann_flow, w1_difference
 
 EXAMPLE_NAMES = ("binomial", "poisson", "star", "square")
@@ -94,8 +94,8 @@ def _sampled_example(
     knots = grid.knots
     mids = 0.5 * (knots[:-1] + knots[1:])
     f = np.stack([f_of_t(t) for t in knots])
-    v, g = _constant_speed_rows(np.stack([flux_of_t(t) for t in mids]))
-    triple = Triple(VertexPath(knots.copy(), f), EdgePairPath(knots.copy(), v, g))
+    pair = _constant_speed_pair(knots, np.stack([flux_of_t(t) for t in mids]))
+    triple = Triple(VertexPath(knots, f), pair)
     return WorkedExample(name, graph, f_of_t(0.0), f_of_t(1.0), triple, closed_form)
 
 

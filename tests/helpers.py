@@ -127,3 +127,22 @@ def random_admissible_pair(rng, graph, f0, f1, max_steps=4, decomp=None):
             g[i] = mix
             v[i] = row / mix
     return EdgePairPath(knots, v, g)
+
+
+def constant_speed_rows_reference(targets):
+    """Constant-speed factorization by one row at a time.
+
+    Row h becomes v = sign(h) |h|_1 (the sign of zero taken as +1) and
+    g = |h| / |h|_1; a row with zero total mass becomes v = 0, g = uniform.
+    Each speed is summed over its own contiguous copy of the row.
+    """
+    steps, m = targets.shape
+    v = np.zeros((steps, m))
+    g = np.full((steps, m), 1.0 / m) if m else np.zeros((steps, 0))
+    for i, h in enumerate(targets):
+        speed = float(np.abs(h).sum())
+        if speed <= 0.0:
+            continue
+        v[i] = np.where(h >= 0.0, 1.0, -1.0) * speed
+        g[i] = np.abs(h) / speed
+    return v, g

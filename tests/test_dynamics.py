@@ -3,6 +3,8 @@ import pytest
 
 from got import graphs
 from got.dynamics import (
+    ResidualReport,
+    TailResidualReport,
     benamou_distance,
     concatenate_pairs,
     constant_speed_norm,
@@ -85,6 +87,18 @@ def test_transport_residual_binomial_is_second_order():
         example = binomial_example(steps=steps)
         report = transport_residual(example.triple, example.graph.incidence)
         assert report.max_abs_residual <= bound
+
+
+def test_residuals_with_nothing_to_compare_are_zero():
+    # no vertices: transport_residual's gap has no entries, like the others'
+    pair = EdgePairPath.constant([1.0, -1.0], [0.5, 0.5], steps=2)
+    empty = Triple(VertexPath(TimeGrid(2).knots, np.zeros((3, 0))), pair)
+    assert transport_residual(empty, np.zeros((0, 2))) == ResidualReport(0.0, 0, 0)
+    assert reduced_constraint_check(pair, np.zeros((0, 2)), [], []) == 0.0
+    # no edges
+    point = DirectedGraph(("a",), ())
+    still = Triple(VertexPath(TimeGrid(2).knots, np.ones((3, 1))), zero_pair(0, 2))
+    assert tail_pde_check(still, point) == TailResidualReport(0.0, 0, 0)
 
 
 def test_energy_examples():

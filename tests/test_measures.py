@@ -6,6 +6,7 @@ from got.generators import random_distribution, random_tree
 from got.graphs import DirectedGraph, build_incidence, spanning_tree_decomposition
 from got.measures import (
     SUM_TOL,
+    _constant_speed_pair,
     EdgePairPath,
     TimeGrid,
     Triple,
@@ -23,7 +24,7 @@ from got.measures import (
 )
 from got.transport import w1_beckmann
 from got.worked_examples import _binomial_pmf, binomial_example
-from helpers import tails_reference
+from helpers import constant_speed_rows_reference, tails_reference
 
 PATH3 = DirectedGraph(("0", "1", "2"), ((0, 1), (1, 2)), root=0)
 STAR3 = DirectedGraph(("0", "1", "2", "3"), ((0, 1), (0, 2), (0, 3)), root=0)
@@ -356,3 +357,41 @@ def test_zero_pair_is_zero_velocity_uniform_mass(m):
         for name in ("knots", "v", "g"):
             actual, want = getattr(pair, name), getattr(expected, name)
             assert actual.shape == want.shape and actual.tobytes() == want.tobytes()
+
+
+def _flux_stacks():
+    """Seeded (steps x edges) fluxes with still rows, -0.0 entries, exact
+    zeros and row scales from 1e-12 to 1e8."""
+    rng = np.random.default_rng(2401)
+    shapes = [(1, 0), (4, 0), (1, 1), (200, 1), (1, 2500), (35, 282), (200, 2500)]
+    shapes += [(int(rng.integers(1, 201)), int(rng.integers(0, 2501))) for _ in range(8)]
+    for steps, m in shapes:
+        flux = rng.normal(size=(steps, m)) * 10.0 ** rng.uniform(-12, 8, size=(steps, 1))
+        flux[rng.random((steps, m)) < 0.1] = 0.0
+        flux[rng.random((steps, m)) < 0.1] = -0.0
+        flux[rng.random(steps) < 0.2] = 0.0
+        flux[rng.random(steps) < 0.1] = -0.0
+        yield flux
+
+
+def test_constant_speed_pair_matches_the_row_loop_bit_for_bit():
+    # the F-ordered stack is what the tail flux returns; its speeds must be
+    # summed along each row as a lone row's would be
+    for flux in _flux_stacks():
+        v, g = constant_speed_rows_reference(flux)
+        knots = TimeGrid(flux.shape[0]).knots
+        for stack in (np.ascontiguousarray(flux), np.asfortranarray(flux)):
+            pair = _constant_speed_pair(knots, stack)
+            assert pair.v.tobytes() == v.tobytes(), flux.shape
+            assert pair.g.tobytes() == g.tobytes(), flux.shape
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, "overflow"])
+def test_constant_speed_pair_rejects_a_non_finite_row(bad):
+    flux = np.ones((3, 4))
+    if bad == "overflow":
+        flux[1] = 1e308  # finite entries whose speed is beyond the float range
+    else:
+        flux[1, 2] = bad
+    with pytest.raises(ValidationError, match="velocity contains non-finite entries"):
+        _constant_speed_pair(TimeGrid(3).knots, flux)

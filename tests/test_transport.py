@@ -223,6 +223,39 @@ def test_disjoint_supports_move_everything():
     assert abs(float((plan * metric).sum()) - value) <= 1e-12
 
 
+def _round_off(rng, f0):
+    """f0 with a few positive entries moved by a few ulps, all one way."""
+    f1 = f0.copy()
+    where = np.flatnonzero(f0 > 0.0)
+    where = rng.choice(where, size=int(rng.integers(1, where.size + 1)), replace=False)
+    ulps = rng.integers(1, 100, size=where.size) * 2.0**-52
+    f1[where] *= 1.0 + (ulps if rng.random() < 0.5 else -ulps)
+    return f1
+
+
+@pytest.mark.parametrize("kind", ["distinct", "equal", "round-off"])
+def test_kantorovich_plan_is_a_coupling_of_the_inputs(kind):
+    # only the moved block is certified: the diagonal min(f0, f1) and the rows
+    # and columns outside S and T must complete it to a coupling by themselves
+    rng = np.random.default_rng({"distinct": 2410, "equal": 2411, "round-off": 2412}[kind])
+    for _ in range(25):
+        n = int(rng.integers(2, 61))
+        graph = random_connected_graph(rng, n, int(rng.integers(0, n // 5 + 2)))
+        f0 = random_distribution(rng, n)
+        f1 = {"distinct": lambda: random_distribution(rng, n), "equal": f0.copy,
+              "round-off": lambda: _round_off(rng, f0)}[kind]()
+        delta = f1 - f0
+        if kind == "round-off":
+            assert delta.any() and ((delta >= 0.0).all() or (delta <= 0.0).all())
+        value, plan = w1_kantorovich(graph, f0, f1)
+        assert plan.min() >= 0.0
+        assert np.abs(plan.sum(axis=1) - f0).max() <= 1e-8
+        assert np.abs(plan.sum(axis=0) - f1).max() <= 1e-8
+        assert abs(float((plan * shortest_path_metric(graph)).sum()) - value) <= 1e-12
+        if kind != "distinct":
+            assert value == 0.0
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_w1_difference_scales_with_delta(seed):
     rng = np.random.default_rng(900 + seed)

@@ -6,11 +6,11 @@ from got.generators import random_distribution, random_tree
 from got.graphs import DirectedGraph, build_incidence, spanning_tree_decomposition
 from got.measures import (
     SUM_TOL,
-    _constant_speed_pair,
     EdgePairPath,
     TimeGrid,
     Triple,
     VertexPath,
+    _constant_speed_pair,
     convex_interpolation,
     differentiate_path,
     distribution_from_json,

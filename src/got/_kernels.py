@@ -13,13 +13,16 @@ RATIO_TIE = 1e-12
 
 def pivot(tableau, basis, row, col):
     """Make ``col`` basic in ``row``: scale the row, eliminate the column
-    from every other row (reduced costs included), record it in basis."""
+    from the other rows where it is nonzero (reduced costs included),
+    record it in basis. A row whose entry in ``col`` is zero is left as
+    it is, so a pivot costs in proportion to the rows its column reaches."""
     inv = 1.0 / tableau[row, col]
     tableau[row] *= inv
     tableau[row, col] = 1.0
     factors = tableau[:, col].copy()
     factors[row] = 0.0
-    tableau -= factors[:, None] * tableau[row][None, :]
+    rows = np.flatnonzero(factors)
+    tableau[rows] -= factors[rows, None] * tableau[row]
     tableau[:, col] = 0.0
     tableau[row, col] = 1.0
     basis[row] = col

@@ -2,10 +2,14 @@
 
 Solves min c.x subject to A x = b, x >= 0, with Bland's anti-cycling rule
 and a fixed tie-break, so identical inputs give identical answers. Scope
-is desk-sized problems (a few hundred variables); there is no sparsity,
-no warm starting, and no scaling. It solves the Beckmann flow LP and, in
-the tests, reference LPs; the coupling has its own engine, the network
-simplex in _network. The pivot loop lives in _kernels.
+is desk-sized problems (a few hundred rows); there is no warm starting
+and no scaling. The tableau is dense, but a pivot updates only the rows
+its entering column reaches. That pays on network LPs such as the
+Beckmann flow LP: every basis is a spanning forest and every tableau
+column a tree path, so a column has a handful of nonzero rows. It
+solves the Beckmann flow LP and, in the tests, reference LPs; the
+coupling has its own engine, the network simplex in _network. The
+pivot loop lives in _kernels.
 """
 
 from __future__ import annotations

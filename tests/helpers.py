@@ -2,8 +2,9 @@
 
 import numpy as np
 
-from got.graphs import DirectedGraph, spanning_tree_decomposition
+from got.graphs import DirectedGraph, shortest_path_metric, spanning_tree_decomposition
 from got.measures import EdgePairPath
+from got.simplex import LinearProgram
 
 
 def row_reduction_rank(matrix, tol=1e-9):
@@ -76,6 +77,28 @@ def tails_reference(tree, mass):
     return F
 
 
+def moved_mass_lp(graph, delta):
+    """The moved-mass transportation LP of a balanced delta in dense form.
+
+    One variable per pair in S x T, S = supp(delta < 0) and
+    T = supp(delta > 0), costing the pair's hop distance; one row per
+    source and per target fixes the plan's marginals to the two parts.
+    """
+    sources, targets = np.flatnonzero(delta < 0), np.flatnonzero(delta > 0)
+    s, t = sources.size, targets.size
+    cost = shortest_path_metric(graph)[np.ix_(sources, targets)]
+    rows = np.vstack([np.kron(np.eye(s), np.ones(t)), np.tile(np.eye(t), s)])
+    rhs = np.concatenate([-delta[sources], delta[targets]])
+    return LinearProgram(cost.ravel(), rows, rhs)
+
+
+def grid_graph(k):
+    """The k x k grid, edges pointing right and down, vertices row by row."""
+    edges = [(v, v + 1) for v in range(k * k) if (v + 1) % k]
+    edges += [(v, v + k) for v in range(k * k - k)]
+    return DirectedGraph(tuple(str(v) for v in range(k * k)), tuple(edges))
+
+
 def reoriented(rng, graph):
     """The graph with each edge flipped with probability 1/2 and a random root."""
     edges = tuple((h, t) if rng.random() < 0.5 else (t, h) for t, h in graph.edges)
@@ -146,3 +169,18 @@ def constant_speed_rows_reference(targets):
         v[i] = np.where(h >= 0.0, 1.0, -1.0) * speed
         g[i] = np.abs(h) / speed
     return v, g
+
+
+def dense_pivot_reference(tableau, basis, row, col):
+    """The simplex pivot with the full-tableau update: the entering column
+    is eliminated from every row, a zero entry included, by one outer
+    product the size of the tableau."""
+    inv = 1.0 / tableau[row, col]
+    tableau[row] *= inv
+    tableau[row, col] = 1.0
+    factors = tableau[:, col].copy()
+    factors[row] = 0.0
+    tableau -= factors[:, None] * tableau[row][None, :]
+    tableau[:, col] = 0.0
+    tableau[row, col] = 1.0
+    basis[row] = col

@@ -19,6 +19,7 @@ from got.transport import (
     w1_tree,
 )
 from got.worked_examples import binomial_example, path_graph
+from helpers import grid_graph, moved_mass_lp
 
 STAR3 = DirectedGraph(("0", "1", "2", "3"), ((0, 1), (0, 2), (0, 3)), root=0)
 CYCLE4 = DirectedGraph(("0", "1", "2", "3"), ((0, 1), (1, 2), (3, 2), (0, 3)), root=0)
@@ -365,16 +366,11 @@ def test_coupling_solver_error_names_the_parts(monkeypatch):
 
 def _dense_moved_mass(graph, delta):
     """The moved-mass transportation LP through the dense two-phase simplex."""
-    from got.simplex import LinearProgram, solve_lp
+    from got.simplex import solve_lp
 
-    sources, targets = np.flatnonzero(delta < 0), np.flatnonzero(delta > 0)
-    s, t = sources.size, targets.size
-    if s == 0 or t == 0:
+    if not ((delta < 0).any() and (delta > 0).any()):
         return 0.0
-    cost = shortest_path_metric(graph)[np.ix_(sources, targets)]
-    rows = np.vstack([np.kron(np.eye(s), np.ones(t)), np.tile(np.eye(t), s)])
-    rhs = np.concatenate([-delta[sources], delta[targets]])
-    solution = solve_lp(LinearProgram(cost.ravel(), rows, rhs))
+    solution = solve_lp(moved_mass_lp(graph, delta))
     assert solution.status == "optimal"
     return solution.objective_value
 
@@ -479,18 +475,12 @@ def _highs_beckmann(graph, delta):
     return float(res.fun)
 
 
-def _grid(k):
-    edges = [(v, v + 1) for v in range(k * k) if (v + 1) % k]
-    edges += [(v, v + k) for v in range(k * k - k)]
-    return DirectedGraph(tuple(str(v) for v in range(k * k)), tuple(edges))
-
-
 def test_coupling_at_scale_matches_highs_and_repeats_bit_for_bit(monkeypatch):
     import got.transport
 
     pytest.importorskip("scipy")
     rng = np.random.default_rng(1700)
-    graphs = [random_connected_graph(rng, n, n // 10) for n in (120, 200)] + [_grid(12)]
+    graphs = [random_connected_graph(rng, n, n // 10) for n in (120, 200)] + [grid_graph(12)]
     instances = [
         (g, random_distribution(rng, g.n_vertices), random_distribution(rng, g.n_vertices))
         for g in graphs
@@ -512,3 +502,28 @@ def test_coupling_at_scale_matches_highs_and_repeats_bit_for_bit(monkeypatch):
     (flow, potential, pivots), (flow2, potential2, pivots2) = results
     assert np.array_equal(flow, flow2) and np.array_equal(potential, potential2)
     assert pivots == pivots2 > 0
+
+
+@pytest.mark.parametrize("family", ["tree", "sparse", "grid"])
+def test_beckmann_at_scale(family):
+    # hundreds of vertices, beyond the 2-12-vertex pools; the flow LP of
+    # the 1000-vertex tree has 1000 rows and 2998 columns
+    from got.graphs import _net_inflow
+    from got.transport import BALANCE_TOL
+
+    rng = np.random.default_rng(1800)
+    if family == "tree":
+        graph = random_tree(rng, 1000)
+    elif family == "sparse":
+        graph = random_connected_graph(rng, 400, 40)
+    else:
+        graph = grid_graph(20)
+    f0 = random_distribution(rng, graph.n_vertices)
+    f1 = random_distribution(rng, graph.n_vertices)
+    if family == "tree":
+        reference = w1_tree(graph, f0, f1)
+    else:
+        reference = _highs_beckmann(graph, f1 - f0)
+    value, flow = w1_beckmann(graph, f0, f1)
+    assert abs(value - reference) <= (1e-12 * reference if family == "tree" else 1e-9)
+    assert np.abs(_net_inflow(graph, flow) - (f1 - f0)).max() <= BALANCE_TOL
